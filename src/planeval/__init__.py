@@ -3,7 +3,8 @@
 The package parses STRIPS-subset PDDL, simulates plans, pairs candidate
 actions against an optimal ground truth to produce similarity scores and
 quality labels, searches plan transformations, extracts best sub-plans,
-measures repair effort and completes invalid plans with an optimal planner.
+measures repair effort and completes invalid plans with the ground-truth
+suffix.
 """
 
 from .config import PipelineConfig, load_config

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -61,13 +62,14 @@ _KEY_MAP = {
 def load_config(path: str | Path | None = None) -> PipelineConfig:
     """Defaults, optionally overridden by a ``key = value`` file.
 
-    ``#`` starts a comment; blank lines are ignored; unknown keys are errors.
+    ``#`` starts a comment at the start of a line or after whitespace, so a
+    value may contain ``#``; blank lines are ignored; unknown keys are errors.
     """
     config = PipelineConfig()
     if path is None:
         return config
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

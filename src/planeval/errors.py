@@ -86,16 +86,16 @@ class PlanningUnsolvable(PlanEvalError):
 
 
 class PlanningTimeout(PlanEvalError):
-    """Search exceeded its time budget; carries the best incumbent, if any."""
-
-    def __init__(self, message: str, incumbent=None):
-        self.incumbent = incumbent
-        super().__init__(message)
+    """Search exceeded its time budget."""
 
 
 # ---------------------------------------------------------------------------
 # Scoring / transformation / recovery
 # ---------------------------------------------------------------------------
+
+
+class InvalidGroundTruth(PlanEvalError):
+    """The ground-truth plan does not reach the goal from the initial state."""
 
 
 class ZeroLengthGroundTruth(PlanEvalError):
@@ -112,14 +112,6 @@ class SearchBudgetExceeded(PlanEvalError):
     def __init__(self, message: str, best=None):
         self.best = best
         super().__init__(message)
-
-
-class RecoveryFailed(PlanEvalError):
-    """Replanning for the complementary plan failed."""
-
-    def __init__(self, cause: Exception):
-        self.cause = cause
-        super().__init__(f"recovery replanning failed: {cause}")
 
 
 # ---------------------------------------------------------------------------

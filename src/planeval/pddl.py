@@ -261,6 +261,15 @@ def _head(form, expected: str, context: str) -> list:
     return form[1:]
 
 
+def _header_name(form, keyword: str) -> str:
+    """The name in a ``(domain NAME)`` or ``(problem NAME)`` header."""
+    rest = _head(form, keyword, f"{keyword} header")
+    if not rest:
+        raise PddlSyntaxError(f"missing name in ({keyword} ...) header",
+                              form[0].line, form[0].column)
+    return _symbol(rest[0], f"{keyword} name")
+
+
 def _symbol(item, context: str) -> str:
     if not isinstance(item, _Token):
         raise PddlSyntaxError(f"expected a name in {context}")
@@ -333,7 +342,7 @@ def parse_domain(text: str) -> DomainModel:
     reader.expect_done()
     if not body:
         raise PddlSyntaxError("empty define form in domain file")
-    name = _symbol(_head(body[0], "domain", "domain header")[0], "domain name")
+    name = _header_name(body[0], "domain")
 
     types: dict[str, str | None] = {ROOT_TYPE: None}
     predicates: list[Predicate] = []
@@ -369,6 +378,16 @@ def parse_domain(text: str) -> DomainModel:
             schemas.append(_parse_action(rest, predicates))
         else:
             raise UnsupportedFeature(keyword, "domain section")
+
+    # Reject a cyclic type hierarchy; subtype checks walk parents to the root.
+    for type_name in types:
+        seen: set[str] = set()
+        current: str | None = type_name
+        while current is not None:
+            if current in seen:
+                raise PddlSyntaxError(f"cyclic type hierarchy through '{current}'")
+            seen.add(current)
+            current = types.get(current)
 
     # Validate types referenced by predicates and schema parameters.
     declared_predicates = {p.name: p.arity for p in predicates}
@@ -464,7 +483,7 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
     reader.expect_done()
     if not body:
         raise PddlSyntaxError("empty define form in problem file")
-    name = _symbol(_head(body[0], "problem", "problem header")[0], "problem name")
+    name = _header_name(body[0], "problem")
 
     domain_name: str | None = None
     objects: dict[str, str] = {}

@@ -18,21 +18,21 @@ from pathlib import Path
 from .config import PipelineConfig
 from .errors import (
     InstanceError,
+    InvalidGroundTruth,
     ManifestError,
     PlanEvalError,
-    RecoveryFailed,
     SearchBudgetExceeded,
 )
 from .lcs import best_subplan, lcs_analyze
 from .pddl import DomainModel, Plan, ProblemModel, parse_domain, parse_plan, parse_problem
 from .planner import solve_optimal
-from .recovery import RecoveryOutcome, recover, steps_to_validity
+from .recovery import recover, steps_to_validity
 from .scoring import normalize_score, plan_score, potential
 from .similarity import aqm_score, non_positional_aqm, pair_actions
 from .simulator import goal_satisfied, simulate
 from .transform import Transformation, find_best_variant, score_variant
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REPORT_COLUMNS = [
     "model", "prompt_type", "domain", "instances",
@@ -113,16 +113,16 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     """Run the whole pipeline for one candidate plan.
 
     ``gt_plan_text``/``gt_plan`` supply the ground truth; with neither given
-    the built-in planner solves the instance.  A ``None`` plan text marks a
-    failed generation and is evaluated as the empty plan.  Any stage failure
-    is wrapped in :class:`InstanceError` naming the stage.
+    the built-in planner solves the instance.  Whatever its source, the
+    ground truth must be valid (stage ``check-gt``).  A ``None`` plan text
+    marks a failed generation and is evaluated as the empty plan.  Any stage
+    failure is wrapped in :class:`InstanceError` naming the stage.
     """
     if config is None:
         config = PipelineConfig()
     provider = config.provider()
     flags = {
         "generation_missing": plan_text is None,
-        "replan_failed": False,
         "transform_budget_exceeded": False,
     }
 
@@ -140,6 +140,11 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
             gt_plan = stage("solve-gt", solve_optimal, problem, domain,
                             timeout=config.planner_timeout,
                             external_cmd=config.external_planner, label="pi_gt")
+    # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
+    sim_gt = simulate(gt_plan, problem)
+    if not (sim_gt.executable and goal_satisfied(sim_gt.final_state, problem.goal)):
+        raise InstanceError("check-gt", InvalidGroundTruth(
+            f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
     pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, label="pi0")
 
@@ -182,13 +187,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                             variant1.penalized, n_eff, valid0,
                             reward=config.validity_reward)
 
-    outcome: RecoveryOutcome | None = None
-    try:
-        outcome = recover(pi0, gt_plan, problem, domain,
-                          timeout=config.planner_timeout,
-                          external_cmd=config.external_planner)
-    except RecoveryFailed:
-        flags["replan_failed"] = True
+    outcome = recover(pi0, gt_plan, problem)
 
     pi0_metrics = _plan_metrics(pi0, problem, stv=stv0)
     pi0_metrics.update({
@@ -220,17 +219,6 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "penalized_score": float(variant1.penalized),
     })
 
-    if outcome is not None:
-        pi4_metrics = _plan_metrics(outcome.final, problem)
-        pi4_metrics["present"] = True
-        corr_length = float(len(outcome.corr))
-        comp_length = float(len(outcome.comp))
-    else:
-        pi4_metrics = {"valid": False, "executable": False, "length": 0, "lea": 0,
-                       "present": False}
-        corr_length = 0.0
-        comp_length = 0.0
-
     return EvaluationRecord(
         instance_id=instance_id,
         model=model,
@@ -242,10 +230,10 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         pi1=pi1_metrics,
         pi2=_plan_metrics(pi2, problem, stv=stv2),
         pi3=_plan_metrics(pi3, problem, stv=stv3),
-        pi4=pi4_metrics,
+        pi4=_plan_metrics(outcome.final, problem),
         potential=float(potential_score.potential),
-        corr_length=corr_length,
-        comp_length=comp_length,
+        corr_length=float(len(outcome.corr)),
+        comp_length=float(len(outcome.comp)),
     )
 
 
@@ -304,29 +292,34 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
 _GT_CACHE: dict[tuple[str, str], Plan] = {}
 
 
-def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
+def _read(path: Path) -> str:
     try:
-        domain = parse_domain(row.domain_path.read_text(encoding="utf-8"))
-        problem = parse_problem(row.problem_path.read_text(encoding="utf-8"), domain)
-    except (OSError, PlanEvalError) as exc:
-        raise InstanceError("load", exc if isinstance(exc, PlanEvalError)
-                            else PlanEvalError(str(exc)))
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InstanceError("load", PlanEvalError(str(exc))) from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceError("load", PlanEvalError(f"{path} is not UTF-8: {exc}")) from exc
 
-    plan_text: str | None
+
+def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
+    domain_text = _read(row.domain_path)
+    problem_text = _read(row.problem_path)
+    try:
+        domain = parse_domain(domain_text)
+        problem = parse_problem(problem_text, domain)
+    except PlanEvalError as exc:
+        raise InstanceError("load", exc) from exc
+
+    plan_text: str | None = None
     if row.plan_path is not None and row.plan_path.is_file():
-        plan_text = row.plan_path.read_text(encoding="utf-8")
+        plan_text = _read(row.plan_path)
         if not plan_text.strip():
             plan_text = None
-    else:
-        plan_text = None
 
     gt_plan = None
     gt_plan_text = None
     if row.gt_plan_path is not None:
-        try:
-            gt_plan_text = row.gt_plan_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InstanceError("load", PlanEvalError(str(exc)))
+        gt_plan_text = _read(row.gt_plan_path)
     else:
         cache_key = (str(row.domain_path), str(row.problem_path))
         gt_plan = _GT_CACHE.get(cache_key)

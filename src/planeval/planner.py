@@ -1,4 +1,4 @@
-"""Optimal forward state-space search: the ground-truth and replanning engine.
+"""Optimal forward state-space search: the ground-truth engine.
 
 A* with the admissible h_max heuristic guarantees minimum action count.
 States are encoded as atom bitmasks for fast duplicate detection; the
@@ -129,16 +129,6 @@ def hmax(task: _GroundTask, state: int) -> float:
     return best
 
 
-def blind(task: _GroundTask, state: int) -> float:
-    return 0.0
-
-
-HEURISTICS: dict[str, Callable[[_GroundTask, int], float]] = {
-    "hmax": hmax,
-    "blind": blind,
-}
-
-
 def _search(task: _GroundTask, start: int, timeout: float,
             heuristic: Callable[[_GroundTask, int], float]) -> list[GroundAction]:
     deadline = time.monotonic() + timeout
@@ -193,7 +183,7 @@ def _search(task: _GroundTask, start: int, timeout: float,
 
 def solve_optimal(problem: ProblemModel, domain: DomainModel,
                   timeout: float = DEFAULT_TIMEOUT,
-                  heuristic: str | Callable[[_GroundTask, int], float] = "hmax",
+                  heuristic: Callable[[_GroundTask, int], float] = hmax,
                   external_cmd: str | None = None,
                   label: str | None = None) -> Plan:
     """Find a provably optimal (minimum action count) plan.
@@ -205,15 +195,14 @@ def solve_optimal(problem: ProblemModel, domain: DomainModel,
     if external_cmd:
         return run_external_planner(external_cmd, domain, problem,
                                     timeout=timeout, label=label)
-    h = HEURISTICS[heuristic] if isinstance(heuristic, str) else heuristic
     task = _GroundTask(domain, problem)
-    actions = _search(task, task.init_mask, timeout, h)
+    actions = _search(task, task.init_mask, timeout, heuristic)
     return Plan(tuple(actions), label=label)
 
 
 def replan_from(state: State, problem: ProblemModel, domain: DomainModel,
                 timeout: float = DEFAULT_TIMEOUT,
-                heuristic: str | Callable[[_GroundTask, int], float] = "hmax",
+                heuristic: Callable[[_GroundTask, int], float] = hmax,
                 external_cmd: str | None = None,
                 label: str | None = None) -> Plan:
     """Solve the problem again with *state* as the initial state."""

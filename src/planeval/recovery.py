@@ -1,9 +1,12 @@
-"""Repair effort (steps to validity) and planner-backed plan recovery.
+"""Repair effort (steps to validity) and plan recovery.
 
 Recovery finds the last ground-truth state the candidate's trace ever
-reaches, keeps the shortest prefix that reaches it (``corr``), replans from
-there (``comp``) and concatenates the two.  A plan that is already valid is
-returned unchanged.
+reaches, ``gt_trace[k]``, and keeps the shortest prefix that reaches it
+(``corr``).  Because that state lies on the optimal ground-truth path, the
+ground-truth suffix ``gt[k:]`` is an optimal completion from it (Bellman's
+principle of optimality), so it becomes ``comp`` without any search.  This
+holds only for a valid ground truth, which the pipeline checks before
+recovery.  A plan that is already valid is returned unchanged.
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import PlanningTimeout, PlanningUnsolvable, RecoveryFailed
-from .pddl import DomainModel, GroundAction, Plan, ProblemModel, State
-from .planner import DEFAULT_TIMEOUT, replan_from
+from .pddl import GroundAction, Plan, ProblemModel, State
 from .similarity import ActionQualityMap, PairingResult, QualityLabel
 from .simulator import goal_satisfied, is_valid, simulate
 
@@ -115,13 +116,11 @@ def divergence_point(plan_trace: tuple[State, ...],
     raise AssertionError("traces share no state; both must start at init")
 
 
-def recover(plan: Plan, gt: Plan, problem: ProblemModel, domain: DomainModel,
-            timeout: float = DEFAULT_TIMEOUT,
-            external_cmd: str | None = None) -> RecoveryOutcome:
-    """Build the recovered plan ``corr ++ comp``.
+def recover(plan: Plan, gt: Plan, problem: ProblemModel) -> RecoveryOutcome:
+    """Build the recovered plan ``corr ++ gt[k:]``.
 
-    Raises :class:`RecoveryFailed` when replanning is unsolvable or times
-    out; for a solvable problem the recovered plan is always valid.
+    *gt* must be valid for *problem*; the recovered plan is then valid too,
+    and as short as any completion of ``corr`` when *gt* is optimal.
     """
     plan_sim = simulate(plan, problem)
     gt_sim = simulate(gt, problem)
@@ -133,11 +132,6 @@ def recover(plan: Plan, gt: Plan, problem: ProblemModel, domain: DomainModel,
                                final=plan.with_label("pi4"), divergence_state_index=k)
 
     corr = Plan(plan.actions[:prefix_length], label="pi_corr")
-    start_state = plan_sim.trace[prefix_length]
-    try:
-        comp = replan_from(start_state, problem, domain, timeout=timeout,
-                           external_cmd=external_cmd, label="pi_comp")
-    except (PlanningUnsolvable, PlanningTimeout) as exc:
-        raise RecoveryFailed(exc) from exc
+    comp = Plan(gt.actions[k:], label="pi_comp")
     final = Plan(corr.actions + comp.actions, label="pi4")
     return RecoveryOutcome(corr=corr, comp=comp, final=final, divergence_state_index=k)

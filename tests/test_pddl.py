@@ -82,6 +82,19 @@ def test_syntax_error_carries_position():
     assert excinfo.value.line == 1
 
 
+@pytest.mark.parametrize("text", [
+    "(define (domain))",
+    "(define (problem))",
+    "(define (domain cyclic) (:requirements :strips :typing) (:types a - b b - a))",
+], ids=["empty-domain-header", "empty-problem-header", "cyclic-types"])
+def test_malformed_define_is_a_syntax_error(bw_domain, text):
+    with pytest.raises(PddlSyntaxError):
+        if "(problem" in text:
+            parse_problem(text, bw_domain)
+        else:
+            parse_domain(text)
+
+
 def test_undeclared_predicate_in_schema():
     text = """
     (define (domain bad) (:requirements :strips)

@@ -12,7 +12,7 @@ from planeval.cli import main as cli_main
 from planeval.errors import ConfigError, InstanceError, ManifestError
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 
-from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT
+from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
 
 BW_DOMAIN_PATH = FIXTURES / "blocksworld" / "domain.pddl"
 BW_PROBLEM_PATH = FIXTURES / "blocksworld" / "instance-10.pddl"
@@ -27,8 +27,9 @@ def test_record_running_example(bw_domain, bw_problem):
     record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                                gt_plan_text=INSTANCE_10_GT,
                                instance_id="10", model="m", prompt_type="p").to_json()
-    assert record["schema"] == 1
+    assert record["schema"] == 2
     assert record["gt_length"] == 6
+    assert set(record["flags"]) == {"generation_missing", "transform_budget_exceeded"}
     pi0 = record["pi0"]
     assert pi0["valid"] is False
     assert pi0["lea"] == 0
@@ -86,6 +87,27 @@ def test_instance_error_names_stage(bw_domain, bw_problem):
     with pytest.raises(InstanceError) as excinfo:
         evaluate_instance(bw_domain, bw_problem, "()\n", gt_plan_text=INSTANCE_10_GT)
     assert excinfo.value.stage == "parse-plan"
+
+
+@pytest.mark.parametrize("gt_text", [
+    "(pick-up a)\n",                      # executable, misses the goal
+    "(stack a b)\n" + INSTANCE_10_GT,     # first action not applicable
+], ids=["misses-goal", "not-executable"])
+def test_invalid_gt_is_a_check_gt_error(bw_domain, bw_problem, gt_text):
+    with pytest.raises(InstanceError) as excinfo:
+        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE, gt_plan_text=gt_text)
+    assert excinfo.value.stage == "check-gt"
+
+
+def test_eight_block_tower_recovers_from_gt_file(bw_domain):
+    blocks = [f"b{i}" for i in range(1, 9)]
+    problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
+    gt_text = "".join(f"(pick-up {top})\n(stack {top} {below})\n"
+                      for below, top in zip(blocks, blocks[1:]))
+    record = evaluate_instance(bw_domain, problem, None, gt_plan_text=gt_text).to_json()
+    assert record["gt_length"] == 14
+    assert record["pi4"]["valid"] is True
+    assert record["comp_length"] == 14.0
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +192,38 @@ def test_batch_flags_broken_rows_but_flushes(tmp_path):
     assert result.report_rows[0]["instances"] == 1  # only the good row aggregates
 
 
+def test_batch_records_invalid_gt_file(tmp_path):
+    (tmp_path / "bad-gt.plan").write_text("(pick-up a)\n")
+    (tmp_path / "good.plan").write_text(INSTANCE_10_GT)
+    manifest = write_manifest(tmp_path, [
+        {"instance_id": "bad-gt", "domain_path": str(BW_DOMAIN_PATH),
+         "problem_path": str(BW_PROBLEM_PATH), "plan_path": "good.plan",
+         "gt_plan_path": "bad-gt.plan", "model": "m", "prompt_type": "p"},
+    ])
+    result = evaluate_batch(manifest)
+    assert result.failed_rows == ["bad-gt"]
+    assert result.records[0]["error"]["stage"] == "check-gt"
+
+
+def test_batch_survives_undecodable_plan(tmp_path):
+    (tmp_path / "bad.plan").write_bytes(b"(pick-up a)\xff\n")
+    (tmp_path / "good.plan").write_text(INSTANCE_10_GT)
+    manifest = write_manifest(tmp_path, [
+        {"instance_id": "bad", "domain_path": str(BW_DOMAIN_PATH),
+         "problem_path": str(BW_PROBLEM_PATH), "plan_path": "bad.plan",
+         "gt_plan_path": "", "model": "m", "prompt_type": "p"},
+        {"instance_id": "good", "domain_path": str(BW_DOMAIN_PATH),
+         "problem_path": str(BW_PROBLEM_PATH), "plan_path": "good.plan",
+         "gt_plan_path": "", "model": "m", "prompt_type": "p"},
+    ])
+    code = cli_main(["batch", str(manifest), "--out", str(tmp_path / "results")])
+    assert code == 2
+    records = read_jsonl(tmp_path / "results.jsonl")
+    assert [r["instance_id"] for r in records] == ["bad", "good"]
+    assert records[0]["error"]["stage"] == "load"
+    assert "error" not in records[1] and records[1]["pi0"]["valid"] is True
+
+
 def test_manifest_missing_column(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("instance_id,domain_path\nx,y\n")
@@ -221,6 +275,18 @@ def test_config_file_overrides(tmp_path):
     assert config.planner_timeout == 2.5
     provider = config.provider()
     assert provider("unstack", "stack") == Fraction(10, 12)
+
+
+def test_config_hash_inside_value_is_kept(tmp_path):
+    path = tmp_path / "planeval.cfg"
+    path.write_text(
+        "# full-line comment\n"
+        "planner.external_cmd = run --tag=a#b   # trailing comment\n"
+        "transform.budget = 7\t# comment after a tab\n"
+    )
+    config = load_config(path)
+    assert config.external_planner == "run --tag=a#b"
+    assert config.budget == 7
 
 
 def test_config_unknown_key(tmp_path):

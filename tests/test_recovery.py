@@ -2,10 +2,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from planeval import is_valid, pair_actions, parse_plan, recover, simulate
-from planeval.errors import RecoveryFailed
 from planeval.pddl import GroundAction, Plan, ProblemModel
 from planeval.recovery import StepKind, divergence_point, steps_to_validity
 from planeval.similarity import QualityLabel
@@ -109,8 +106,8 @@ def test_divergence_prefers_shortest_prefix(bw_domain, bw_problem, gt_plan):
     assert (k, prefix) == (0, 0)
 
 
-def test_recover_pi0(pi0_plan, gt_plan, bw_problem, bw_domain):
-    outcome = recover(pi0_plan, gt_plan, bw_problem, bw_domain)
+def test_recover_pi0(pi0_plan, gt_plan, bw_problem):
+    outcome = recover(pi0_plan, gt_plan, bw_problem)
     assert len(outcome.corr) == 0
     assert len(outcome.comp) == 6
     assert outcome.final.keys() == outcome.comp.keys()
@@ -118,8 +115,8 @@ def test_recover_pi0(pi0_plan, gt_plan, bw_problem, bw_domain):
     assert outcome.divergence_state_index == 0
 
 
-def test_recover_valid_plan_is_identity(gt_plan, bw_problem, bw_domain):
-    outcome = recover(gt_plan, gt_plan, bw_problem, bw_domain)
+def test_recover_valid_plan_is_identity(gt_plan, bw_problem):
+    outcome = recover(gt_plan, gt_plan, bw_problem)
     assert outcome.corr.keys() == gt_plan.keys()
     assert len(outcome.comp) == 0
     assert outcome.final.keys() == gt_plan.keys()
@@ -130,7 +127,7 @@ def test_recover_from_matching_prefix(bw_domain, bw_problem, gt_plan):
     # completion is oracle-optimal from the reached state.
     plan = Plan(gt_plan.actions[:2] + (GroundAction("warp", ("x",), resolvable=False,
                                                     issue="unknown action name"),))
-    outcome = recover(plan, gt_plan, bw_problem, bw_domain)
+    outcome = recover(plan, gt_plan, bw_problem)
     assert len(outcome.corr) == 2
     reached = simulate(outcome.corr, bw_problem).final_state
     oracle_problem = ProblemModel(bw_problem.name, bw_problem.domain_name,
@@ -138,18 +135,3 @@ def test_recover_from_matching_prefix(bw_domain, bw_problem, gt_plan):
     assert len(outcome.comp) == bfs_optimal_cost(oracle_problem, bw_domain)
     assert is_valid(outcome.final, bw_problem)
 
-
-def test_recover_wraps_unsolvable(bw_domain, bw_problem, gt_plan):
-    impossible = ProblemModel(bw_problem.name, bw_problem.domain_name,
-                              bw_problem.objects, bw_problem.init,
-                              frozenset({("on", "a", "a")}))
-    with pytest.raises(RecoveryFailed):
-        recover(Plan(), gt_plan, impossible, bw_domain)
-
-
-def test_recover_wraps_timeout(bw_domain):
-    from conftest import make_bw_problem
-    blocks = [f"b{i}" for i in range(1, 8)]
-    problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
-    with pytest.raises(RecoveryFailed):
-        recover(Plan(), Plan(), problem, bw_domain, timeout=0.0)

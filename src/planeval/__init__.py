@@ -42,7 +42,6 @@ from .similarity import (
     action_similarity,
     aqm_score,
     exact_name_similarity,
-    name_similarity,
     non_positional_aqm,
     pair_actions,
     param_score,
@@ -92,7 +91,6 @@ __all__ = [
     "lcs_analyze",
     "length_penalty",
     "load_config",
-    "name_similarity",
     "non_positional_aqm",
     "normalize_score",
     "pair_actions",

@@ -18,7 +18,7 @@ from .pipeline import (
     write_report_csv,
 )
 from .planner import solve_optimal
-from .simulator import format_trace, goal_satisfied, simulate
+from .simulator import format_trace, simulate
 
 
 def _load_models(args):
@@ -48,7 +48,7 @@ def _cmd_validate(args) -> int:
     plan = parse_plan(Path(args.plan).read_text(encoding="utf-8"), domain, problem)
     result = simulate(plan, problem)
     payload = {
-        "valid": result.executable and goal_satisfied(result.final_state, problem.goal),
+        "valid": result.valid,
         "executable": result.executable,
         "lea": result.lea,
         "length": len(plan),
@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PlanEvalError, OSError) as exc:
+    except (PlanEvalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,14 +5,15 @@ Anything else (conditional effects, quantifiers, numeric fluents, ...) is
 rejected with :class:`~planeval.errors.UnsupportedFeature`.
 
 Atoms are plain tuples ``(predicate, arg1, ..., argN)`` and states are
-frozensets of atoms; every identifier is lower-cased at parse time so all
-later comparisons are case-insensitive.
+frozensets of atoms.  Identifiers are case-folded once: the parser
+lower-cases every name it reads, and :class:`GroundAction` lower-cases its
+name and arguments when it is built.  Later layers compare them as they are.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -140,6 +141,10 @@ class ProblemModel:
 class GroundAction:
     """A concrete action occurrence, resolvable against a domain or not.
 
+    The name and arguments are lower-cased on construction, and ``key``, the
+    ``(name, args)`` identity used for matching, is stored alongside them, so
+    no later comparison folds case again.
+
     Unresolvable actions (hallucinated names, unknown objects, bad arity or
     typing) keep their name and arguments so they can still be matched and
     scored, but they carry empty precondition/effect sets and must never be
@@ -153,11 +158,14 @@ class GroundAction:
     del_effects: frozenset[Atom] = frozenset()
     resolvable: bool = True
     issue: str | None = None
+    key: tuple[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> tuple[str, tuple[str, ...]]:
-        """Identity used for matching: case-normalised name and arguments."""
-        return (self.name.lower(), tuple(a.lower() for a in self.args))
+    def __post_init__(self) -> None:
+        name = self.name.lower()
+        args = tuple(a.lower() for a in self.args)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "key", (name, args))
 
     def __str__(self) -> str:
         return format_atom((self.name, *self.args))
@@ -221,25 +229,34 @@ class _Reader:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def read(self):
-        tok = self._peek()
-        if tok is None:
-            raise PddlSyntaxError("unexpected end of input, expected an expression")
-        self.pos += 1
-        if tok.value == "(":
-            items = []
-            while True:
-                nxt = self._peek()
-                if nxt is None:
+        """Read one expression: a token or a nested list of expressions.
+
+        Iterative, with an explicit stack of open lists, so that nesting
+        depth in the input cannot exhaust the interpreter's recursion limit.
+        """
+        open_lists: list[tuple[_Token, list]] = []
+        while True:
+            tok = self._peek()
+            if tok is None:
+                if open_lists:
+                    opening = open_lists[-1][0]
                     raise PddlSyntaxError(
-                        "unexpected end of input, expected ')'", tok.line, tok.column
+                        "unexpected end of input, expected ')'", opening.line, opening.column
                     )
-                if nxt.value == ")":
-                    self.pos += 1
-                    return items
-                items.append(self.read())
-        if tok.value == ")":
-            raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
-        return tok
+                raise PddlSyntaxError("unexpected end of input, expected an expression")
+            self.pos += 1
+            if tok.value == "(":
+                open_lists.append((tok, []))
+                continue
+            if tok.value == ")":
+                if not open_lists:
+                    raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
+                expr = open_lists.pop()[1]
+            else:
+                expr = tok
+            if not open_lists:
+                return expr
+            open_lists[-1][1].append(expr)
 
     def expect_done(self) -> None:
         tok = self._peek()
@@ -588,8 +605,6 @@ def resolve_action(name: str, args: Sequence[str], domain: DomainModel,
     yield an unresolvable :class:`GroundAction` so the action can still take
     part in similarity scoring.
     """
-    name = name.lower()
-    args = tuple(a.lower() for a in args)
     schema = domain.schema(name)
     if schema is None:
         return GroundAction(name, args, resolvable=False, issue="unknown action name")

@@ -29,7 +29,7 @@ from .planner import solve_optimal
 from .recovery import recover, steps_to_validity
 from .scoring import normalize_score, plan_score, potential
 from .similarity import aqm_score, non_positional_aqm, pair_actions
-from .simulator import goal_satisfied, simulate
+from .simulator import simulate
 from .transform import Transformation, find_best_variant, score_variant
 
 SCHEMA_VERSION = 2
@@ -89,7 +89,7 @@ class EvaluationRecord:
 def _plan_metrics(plan: Plan, problem: ProblemModel, stv: int | None = None) -> dict:
     result = simulate(plan, problem)
     metrics = {
-        "valid": result.executable and goal_satisfied(result.final_state, problem.goal),
+        "valid": result.valid,
         "executable": result.executable,
         "length": len(plan),
         "lea": result.lea,
@@ -142,14 +142,13 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                             external_cmd=config.external_planner, label="pi_gt")
     # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
     sim_gt = simulate(gt_plan, problem)
-    if not (sim_gt.executable and goal_satisfied(sim_gt.final_state, problem.goal)):
+    if not sim_gt.valid:
         raise InstanceError("check-gt", InvalidGroundTruth(
             f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
     pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, label="pi0")
 
-    sim0 = simulate(pi0, problem)
-    valid0 = sim0.executable and goal_satisfied(sim0.final_state, problem.goal)
+    valid0 = simulate(pi0, problem).valid
 
     pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, provider=provider)
     np_aqm = non_positional_aqm(aqm, pairing, provider=provider)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .pddl import GroundAction, Plan, ProblemModel, State
 from .similarity import ActionQualityMap, PairingResult, QualityLabel
-from .simulator import goal_satisfied, is_valid, simulate
+from .simulator import is_valid, simulate
 
 
 class StepKind(enum.Enum):
@@ -126,7 +126,7 @@ def recover(plan: Plan, gt: Plan, problem: ProblemModel) -> RecoveryOutcome:
     gt_sim = simulate(gt, problem)
     k, prefix_length = divergence_point(plan_sim.trace, gt_sim.trace)
 
-    if plan_sim.executable and goal_satisfied(plan_sim.final_state, problem.goal):
+    if plan_sim.valid:
         # Already valid: keep the whole plan, nothing to complete.
         return RecoveryOutcome(corr=plan.with_label("pi_corr"), comp=Plan(label="pi_comp"),
                                final=plan.with_label("pi4"), divergence_state_index=k)

@@ -137,13 +137,6 @@ class SynonymTable:
         return self.table.get(tuple(sorted((a, b))), ZERO)  # type: ignore[arg-type]
 
 
-def name_similarity(a: str, b: str, provider: NameSimilarityProvider | None = None) -> Fraction:
-    """Name similarity under *provider* (character-LCS provider by default)."""
-    if provider is None:
-        provider = CharLcsSimilarity()
-    return Fraction(provider(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Parameter and action similarity
 # ---------------------------------------------------------------------------
@@ -165,7 +158,7 @@ def action_similarity(a: GroundAction, b: GroundAction,
     """``S = sigma + C`` floored at zero; pairing requires S > 0."""
     if provider is None:
         provider = exact_name_similarity
-    score = Fraction(provider(a.key[0], b.key[0])) + param_score(a.args, b.args)
+    score = Fraction(provider(a.name, b.name)) + param_score(a.args, b.args)
     return score if score > ZERO else ZERO
 
 
@@ -221,11 +214,6 @@ class ActionQualityMap:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def entries(self) -> dict[int, QualityLabel]:
-        """1-based index view, matching the reporting convention."""
-        return {i: label for i, label in enumerate(self.labels, start=1)}
-
     def label_names(self) -> tuple[str, ...]:
         return tuple(label.value for label in self.labels)
 
@@ -251,14 +239,15 @@ def pair_actions(plan: Plan, gt: Plan,
     if sim is None:
         sim_provider = provider if provider is not None else exact_name_similarity
         sim = make_similarity_cache(sim_provider)
-    n, m = len(plan), len(gt)
+    plan_keys, gt_keys = plan.keys(), gt.keys()
+    n, m = len(plan_keys), len(gt_keys)
     labels: list[QualityLabel | None] = [None] * n
     scores: list[Fraction] = [ZERO] * n
     taken = [False] * m
     pairs: list[ActionPair] = []
 
     for i in range(min(n, m)):
-        if plan[i].key == gt[i].key:
+        if plan_keys[i] == gt_keys[i]:
             labels[i] = QualityLabel.CORRECT
             scores[i] = FLAT_MATCH_SCORE
             taken[i] = True
@@ -268,7 +257,7 @@ def pair_actions(plan: Plan, gt: Plan,
         if labels[i] is not None:
             continue
         for j in range(m):
-            if not taken[j] and plan[i].key == gt[j].key:
+            if not taken[j] and plan_keys[i] == gt_keys[j]:
                 labels[i] = QualityLabel.MISPLACED
                 scores[i] = FLAT_MATCH_SCORE
                 taken[j] = True
@@ -284,12 +273,12 @@ def pair_actions(plan: Plan, gt: Plan,
         for j in range(m):
             if taken[j]:
                 continue
-            score = sim(plan[i], gt[j])
+            score = sim(plan.actions[i], gt.actions[j])
             if score > best:
                 best = score
                 best_j = j
         if best_j >= 0:
-            label = (QualityLabel.SAME_ACT if plan[i].key[0] == gt[best_j].key[0]
+            label = (QualityLabel.SAME_ACT if plan_keys[i][0] == gt_keys[best_j][0]
                      else QualityLabel.DIFF_ACT)
             labels[i] = label
             scores[i] = best
@@ -315,14 +304,14 @@ def non_positional_aqm(aqm: ActionQualityMap, pairing: PairingResult,
     if provider is None:
         provider = exact_name_similarity
     plan, gt = pairing.plan, pairing.gt
-    gt_names = {action.key[0] for action in gt}
+    gt_names = {action.name for action in gt}
     labels = list(aqm.labels)
     for i, label in enumerate(labels):
         if label is QualityLabel.MISPLACED:
             labels[i] = QualityLabel.CORRECT
         elif label is QualityLabel.REDUNDANT:
             action = plan[i]
-            if action.key[0] in gt_names:
+            if action.name in gt_names:
                 labels[i] = QualityLabel.SAME_ACT
             elif any(action_similarity(action, g, provider) > ZERO for g in gt):
                 labels[i] = QualityLabel.DIFF_ACT

@@ -31,6 +31,7 @@ class SimulationResult:
     lea: int
     executable: bool
     failure_reason: FailureReason | None = None
+    valid: bool = False  # executable and the final state satisfies the goal
 
     @property
     def final_state(self) -> State:
@@ -72,17 +73,12 @@ def simulate(plan: Plan, problem: ProblemModel) -> SimulationResult:
             return SimulationResult(tuple(trace), index - 1, False, reason)
         state = (state - action.del_effects) | action.add_effects
         trace.append(state)
-    return SimulationResult(tuple(trace), len(plan), True)
-
-
-def goal_satisfied(state: State, goal: frozenset[Atom]) -> bool:
-    return goal <= state
+    return SimulationResult(tuple(trace), len(plan), True, valid=problem.goal <= state)
 
 
 def is_valid(plan: Plan, problem: ProblemModel) -> bool:
     """True iff the plan is executable and its final state satisfies the goal."""
-    result = simulate(plan, problem)
-    return result.executable and goal_satisfied(result.final_state, problem.goal)
+    return simulate(plan, problem).valid
 
 
 def format_state(state: State) -> str:

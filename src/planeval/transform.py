@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 from .config import PipelineConfig
 from .errors import NonBijectiveMapping, SearchBudgetExceeded
 from .lcs import lcs_analyze
-from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
+from .pddl import DomainModel, Plan, ProblemModel, resolve_action
 from .scoring import ScoreBreakdown, plan_score
 from .similarity import NameSimilarityProvider, make_similarity_cache, pair_actions
 from .simulator import is_valid
@@ -87,35 +87,19 @@ def _full_mapping(plan: Plan, mapping: Mapping[str, str]) -> dict[str, str]:
 
 
 def remap_params(plan: Plan, mapping: Mapping[str, str],
-                 domain: DomainModel | None = None,
-                 problem: ProblemModel | None = None) -> Plan:
+                 domain: DomainModel, problem: ProblemModel) -> Plan:
     """Substitute every argument occurrence simultaneously; names unchanged.
 
-    Objects missing from *mapping* stay fixed.  With *domain* and *problem*
-    given, each remapped action is re-resolved so that type-invalid
-    combinations come back flagged unresolvable.
+    Objects missing from *mapping* stay fixed.  Each remapped action is
+    re-resolved against *domain* and *problem*, so type-invalid combinations
+    come back flagged unresolvable.
     """
     full = _full_mapping(plan, mapping)
-    actions: list[GroundAction] = []
-    for action in plan:
-        new_args = tuple(full.get(arg, arg) for arg in action.args)
-        if domain is not None and problem is not None:
-            actions.append(resolve_action(action.name, new_args, domain, problem))
-        else:
-            actions.append(GroundAction(
-                name=action.name,
-                args=new_args,
-                preconditions=_sub_atoms(action.preconditions, full),
-                add_effects=_sub_atoms(action.add_effects, full),
-                del_effects=_sub_atoms(action.del_effects, full),
-                resolvable=action.resolvable,
-                issue=action.issue,
-            ))
-    return Plan(tuple(actions), label=plan.label)
-
-
-def _sub_atoms(atoms, mapping: Mapping[str, str]):
-    return frozenset((atom[0], *(mapping.get(t, t) for t in atom[1:])) for atom in atoms)
+    actions = tuple(
+        resolve_action(action.name, tuple(full[arg] for arg in action.args), domain, problem)
+        for action in plan
+    )
+    return Plan(actions, label=plan.label)
 
 
 def transformation_penalty(transformation: Transformation, plan_length: int,
@@ -151,11 +135,11 @@ def _aligned_partial_maps(plan: Plan, gt: Plan, objs: set[str],
             if j >= len(gt):
                 continue
             cand, target = plan[i], gt[j]
-            if cand.key[0] != target.key[0] or len(cand.args) != len(target.args):
+            if cand.name != target.name or len(cand.args) != len(target.args):
                 continue
             partial: dict[str, str] = {}
             ok = True
-            for src, dst in zip(cand.key[1], target.key[1]):
+            for src, dst in zip(cand.args, target.args):
                 if dst not in objs or partial.get(src, dst) != dst:
                     ok = False
                     break

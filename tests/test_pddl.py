@@ -3,17 +3,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from planeval import parse_domain, parse_plan, parse_problem, ground
+from planeval import QualityLabel, pair_actions, parse_domain, parse_plan, parse_problem, ground
 from planeval.errors import (
     ArityMismatch,
     MalformedLine,
     PddlSyntaxError,
+    PlanEvalError,
     TypeMismatch,
     UndeclaredSymbol,
     UnsupportedFeature,
 )
-from planeval.pddl import domain_to_pddl, plan_to_text, problem_to_pddl
+from planeval.pddl import GroundAction, Plan, domain_to_pddl, plan_to_text, problem_to_pddl
 
 from conftest import INSTANCE_10_CANDIDATE
 
@@ -170,6 +172,18 @@ def test_parse_plan_tolerates_case_and_missing_parens(bw_domain, bw_problem):
     assert all(action.resolvable for action in plan)
 
 
+def test_ground_action_folds_case_on_construction(bw_domain, bw_problem):
+    parsed = parse_plan("(pick-up a)\n", bw_domain, bw_problem)[0]
+    action = GroundAction("Pick-Up", ("A",), parsed.preconditions,
+                          parsed.add_effects, parsed.del_effects)
+    assert action.name == "pick-up" and action.args == ("a",)
+    assert action.key == ("pick-up", ("a",))
+    assert str(action) == "(pick-up a)"
+    assert action == parsed
+    _, aqm = pair_actions(Plan((action,)), Plan((parsed,)))
+    assert aqm.labels == (QualityLabel.CORRECT,)
+
+
 def test_parse_plan_unknown_object_and_bad_arity(bw_domain, bw_problem):
     plan = parse_plan("(pick-up d)\n(stack a)\n", bw_domain, bw_problem)
     assert not plan[0].resolvable
@@ -245,3 +259,31 @@ def test_problem_round_trip(bw_domain, bw_problem, logistics_domain, logistics_p
 def test_plan_round_trip(bw_domain, bw_problem):
     plan = parse_plan(INSTANCE_10_CANDIDATE, bw_domain, bw_problem)
     assert parse_plan(plan_to_text(plan), bw_domain, bw_problem) == plan
+
+
+# Tokens of the accepted PDDL fragment, so that generated text gets past the
+# first checks of the parsers and not only into their top-level rejections.
+_PDDL_TOKENS = ["(", ")", "(", ")", "define", "domain", "problem", ":requirements",
+                ":strips", ":typing", ":adl", ":types", "-", "object", ":predicates",
+                ":action", ":parameters", ":precondition", ":effect", "and", "not",
+                "when", "?x", "?y", "on", "clear", "holding", "handempty", "pick-up",
+                "stack", "a", "b", ":objects", ":init", ":goal", ":domain",
+                "blocksworld-4ops", ";", "\n"]
+_PDDL_LIKE_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.sampled_from(_PDDL_TOKENS), max_size=60).map(" ".join),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=_PDDL_LIKE_TEXT)
+@example(text="(" * 5000)
+@example(text="(define " + "(" * 3000 + ")" * 3000 + ")")
+def test_parsers_raise_only_planeval_errors(bw_domain, bw_problem, text):
+    for parse in (lambda: parse_domain(text),
+                  lambda: parse_problem(text, bw_domain),
+                  lambda: parse_plan(text, bw_domain, bw_problem)):
+        try:
+            parse()
+        except PlanEvalError:
+            pass

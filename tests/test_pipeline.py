@@ -374,6 +374,19 @@ def test_cli_batch_exit_code_on_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("eval", "--plan"), ("validate", "--plan"), ("solve", "--domain"),
+])
+def test_cli_undecodable_input_is_an_error_line(tmp_path, capsys, command, bad):
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"(pick-up a)\xff\n")
+    paths = {"--domain": str(BW_DOMAIN_PATH), "--problem": str(BW_PROBLEM_PATH)}
+    paths[bad] = str(undecodable)
+    argv = [command] + [part for item in paths.items() for part in item]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_unsolvable_exit_code(tmp_path):
     problem = tmp_path / "impossible.pddl"
     problem.write_text(

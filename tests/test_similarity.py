@@ -12,7 +12,6 @@ from planeval import (
     action_similarity,
     aqm_score,
     exact_name_similarity,
-    name_similarity,
     non_positional_aqm,
     pair_actions,
     param_score,
@@ -34,7 +33,6 @@ def act(name, *args):
 
 
 def test_name_similarity_identity():
-    assert name_similarity("unstack", "unstack") == 1
     assert exact_name_similarity("Stack", "stack") == 1
 
 
@@ -53,10 +51,6 @@ def test_char_lcs_provider_derived_values():
     value = provider("pick-up", "put-down")
     assert value == 0
     assert 0 <= value < 1
-
-
-def test_name_similarity_defaults_to_char_lcs():
-    assert name_similarity("unstack", "stack") == Fraction(10, 12)
 
 
 def test_provider_conformance():

@@ -66,9 +66,9 @@ def test_remap_swaps_objects_consistently(bw_domain, bw_problem, pi0_plan):
     assert pi1[0].key == ("unstack", ("b", "c"))
 
 
-def test_remap_identity(pi0_plan):
-    assert remap_params(pi0_plan, {}).keys() == pi0_plan.keys()
-    assert remap_params(pi0_plan, {"a": "a"}).keys() == pi0_plan.keys()
+def test_remap_identity(pi0_plan, bw_domain, bw_problem):
+    assert remap_params(pi0_plan, {}, bw_domain, bw_problem).keys() == pi0_plan.keys()
+    assert remap_params(pi0_plan, {"a": "a"}, bw_domain, bw_problem).keys() == pi0_plan.keys()
 
 
 def test_remap_involution(pi0_plan, bw_domain, bw_problem):
@@ -78,13 +78,13 @@ def test_remap_involution(pi0_plan, bw_domain, bw_problem):
     assert twice.keys() == pi0_plan.keys()
 
 
-def test_remap_rejects_non_bijective(pi0_plan):
+def test_remap_rejects_non_bijective(pi0_plan, bw_domain, bw_problem):
     with pytest.raises(NonBijectiveMapping):
-        remap_params(pi0_plan, {"a": "c", "b": "c"})
+        remap_params(pi0_plan, {"a": "c", "b": "c"}, bw_domain, bw_problem)
 
 
-def test_remap_substitutes_grounded_effects(pi0_plan):
-    mapped = remap_params(pi0_plan, {"a": "b", "b": "a"})
+def test_remap_substitutes_grounded_effects(pi0_plan, bw_domain, bw_problem):
+    mapped = remap_params(pi0_plan, {"a": "b", "b": "a"}, bw_domain, bw_problem)
     assert ("on", "b", "c") in mapped[0].preconditions
 
 

@@ -21,9 +21,16 @@ from .planner import solve_optimal
 from .simulator import format_trace, simulate
 
 
+def _read(flag: str, path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PlanEvalError(f"{flag} {path} is not UTF-8: {exc}") from exc
+
+
 def _load_models(args):
-    domain = parse_domain(Path(args.domain).read_text(encoding="utf-8"))
-    problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"), domain)
+    domain = parse_domain(_read("--domain", args.domain))
+    problem = parse_problem(_read("--problem", args.problem), domain)
     return domain, problem
 
 
@@ -45,7 +52,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_validate(args) -> int:
     domain, problem = _load_models(args)
-    plan = parse_plan(Path(args.plan).read_text(encoding="utf-8"), domain, problem)
+    plan = parse_plan(_read("--plan", args.plan), domain, problem)
     result = simulate(plan, problem)
     payload = {
         "valid": result.valid,
@@ -70,9 +77,8 @@ def _cmd_validate(args) -> int:
 def _cmd_eval(args) -> int:
     config = load_config(args.config)
     domain, problem = _load_models(args)
-    plan_path = Path(args.plan)
-    plan_text = plan_path.read_text(encoding="utf-8") if plan_path.is_file() else None
-    gt_text = Path(args.gt_plan).read_text(encoding="utf-8") if args.gt_plan else None
+    plan_text = _read("--plan", args.plan) if Path(args.plan).is_file() else None
+    gt_text = _read("--gt-plan", args.gt_plan) if args.gt_plan else None
     record = evaluate_instance(
         domain, problem, plan_text, gt_plan_text=gt_text, config=config,
         instance_id=args.instance_id, model=args.model, prompt_type=args.prompt_type,
@@ -128,10 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--domain", required=True)
     evaluate.add_argument("--problem", required=True)
     evaluate.add_argument("--plan", required=True)
-    gt = evaluate.add_mutually_exclusive_group()
-    gt.add_argument("--gt-plan", default=None, help="ground-truth plan file")
-    gt.add_argument("--gt-solve", action="store_true",
-                    help="solve for the ground truth (default)")
+    evaluate.add_argument("--gt-plan", default=None,
+                          help="ground-truth plan file (default: solve for it)")
     evaluate.add_argument("--out", default=None)
     evaluate.add_argument("--config", default=None)
     evaluate.add_argument("--instance-id", default="")
@@ -163,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PlanEvalError, OSError, UnicodeDecodeError) as exc:
+    except (PlanEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,7 +68,11 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     config = PipelineConfig()
     if path is None:
         return config
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue

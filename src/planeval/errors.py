@@ -109,7 +109,7 @@ class NonBijectiveMapping(PlanEvalError):
 class SearchBudgetExceeded(PlanEvalError):
     """Variant enumeration hit the configured cap; carries the best found so far."""
 
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best):
         self.best = best
         super().__init__(message)
 

@@ -175,6 +175,11 @@ class GroundAction:
 class Plan:
     actions: tuple[GroundAction, ...] = ()
     label: str | None = None
+    _keys: tuple[tuple[str, tuple[str, ...]], ...] = field(init=False, compare=False,
+                                                           repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_keys", tuple(action.key for action in self.actions))
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -194,7 +199,7 @@ class Plan:
         return {arg for action in self.actions for arg in action.args}
 
     def keys(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        return tuple(action.key for action in self.actions)
+        return self._keys
 
 
 # ---------------------------------------------------------------------------

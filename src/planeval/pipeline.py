@@ -10,6 +10,7 @@ file reproduce the batch CSV byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,13 +25,14 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .lcs import best_subplan, lcs_analyze
-from .pddl import DomainModel, Plan, ProblemModel, parse_domain, parse_plan, parse_problem
+from .pddl import (DomainModel, Plan, ProblemModel, domain_to_pddl, parse_domain,
+                   parse_plan, parse_problem, problem_to_pddl)
 from .planner import solve_optimal
 from .recovery import recover, steps_to_validity
 from .scoring import normalize_score, plan_score, potential
 from .similarity import aqm_score, non_positional_aqm, pair_actions
 from .simulator import simulate
-from .transform import Transformation, find_best_variant, score_variant
+from .transform import find_best_variant
 
 SCHEMA_VERSION = 2
 
@@ -104,17 +106,23 @@ def _stv(plan: Plan, gt: Plan, problem: ProblemModel, provider) -> int:
     return len(steps_to_validity(plan, aqm, pairing, gt, problem))
 
 
+# Per-process cache of solved ground truths, keyed on the serialised domain
+# and problem plus the external planner command; oldest entry evicted first.
+_GT_CACHE: dict[tuple[str, str, str | None], Plan] = {}
+_GT_CACHE_SIZE = 256
+
+
 def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                       plan_text: str | None, gt_plan_text: str | None = None,
-                      gt_plan: Plan | None = None,
                       config: PipelineConfig | None = None,
                       instance_id: str = "", model: str = "",
                       prompt_type: str = "") -> EvaluationRecord:
     """Run the whole pipeline for one candidate plan.
 
-    ``gt_plan_text``/``gt_plan`` supply the ground truth; with neither given
-    the built-in planner solves the instance.  Whatever its source, the
-    ground truth must be valid (stage ``check-gt``).  A ``None`` plan text
+    ``gt_plan_text`` supplies the ground truth; without it the instance is
+    solved (built-in planner or ``planner.external_cmd``) and the plan is
+    kept in the per-process ``_GT_CACHE``.  Whatever its source, the ground
+    truth must be valid (stage ``check-gt``).  A ``None`` plan text
     marks a failed generation and is evaluated as the empty plan.  Any stage
     failure is wrapped in :class:`InstanceError` naming the stage.
     """
@@ -132,14 +140,22 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         except PlanEvalError as exc:
             raise InstanceError(name, exc) from exc
 
-    if gt_plan is None:
-        if gt_plan_text is not None:
-            gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem,
-                            label="pi_gt")
-        else:
+    if gt_plan_text is not None:
+        gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem,
+                        label="pi_gt")
+    else:
+        # Keyed on exactly what a planner reads; the timeout only bounds the
+        # search, and failures are never cached.
+        cache_key = (domain_to_pddl(domain), problem_to_pddl(problem, domain),
+                     config.external_planner)
+        gt_plan = _GT_CACHE.get(cache_key)
+        if gt_plan is None:
             gt_plan = stage("solve-gt", solve_optimal, problem, domain,
                             timeout=config.planner_timeout,
                             external_cmd=config.external_planner, label="pi_gt")
+            if len(_GT_CACHE) >= _GT_CACHE_SIZE:
+                del _GT_CACHE[next(iter(_GT_CACHE))]
+            _GT_CACHE[cache_key] = gt_plan
     # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
     sim_gt = simulate(gt_plan, problem)
     if not sim_gt.valid:
@@ -161,12 +177,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                                           provider=provider)
     except SearchBudgetExceeded as exc:
         flags["transform_budget_exceeded"] = True
-        if exc.best is not None:
-            pi1, variant1 = exc.best
-        else:
-            identity = Transformation(0, tuple((o, o) for o in sorted(pi0.objects())))
-            variant1 = score_variant(pi0, identity, gt_plan, problem, len(pi0), config)
-            pi1 = pi0
+        pi1, variant1 = exc.best
     except PlanEvalError as exc:
         raise InstanceError("transform", exc) from exc
     pi1 = pi1.with_label("pi1")
@@ -260,7 +271,11 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
     path = Path(path)
     base = path.parent
     rows: list[ManifestRow] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(0, f"{path} is not UTF-8: {exc}") from exc
+    with io.StringIO(text, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [c for c in MANIFEST_COLUMNS if c not in header]
@@ -287,10 +302,6 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
     return rows
 
 
-# Per-process cache of solved/parsed ground truths keyed by problem path.
-_GT_CACHE: dict[tuple[str, str], Plan] = {}
-
-
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -315,24 +326,10 @@ def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
         if not plan_text.strip():
             plan_text = None
 
-    gt_plan = None
-    gt_plan_text = None
-    if row.gt_plan_path is not None:
-        gt_plan_text = _read(row.gt_plan_path)
-    else:
-        cache_key = (str(row.domain_path), str(row.problem_path))
-        gt_plan = _GT_CACHE.get(cache_key)
-        if gt_plan is None:
-            try:
-                gt_plan = solve_optimal(problem, domain, timeout=config.planner_timeout,
-                                        external_cmd=config.external_planner,
-                                        label="pi_gt")
-            except PlanEvalError as exc:
-                raise InstanceError("solve-gt", exc) from exc
-            _GT_CACHE[cache_key] = gt_plan
+    gt_plan_text = _read(row.gt_plan_path) if row.gt_plan_path is not None else None
 
     record = evaluate_instance(
-        domain, problem, plan_text, gt_plan_text=gt_plan_text, gt_plan=gt_plan,
+        domain, problem, plan_text, gt_plan_text=gt_plan_text,
         config=config, instance_id=row.instance_id, model=row.model,
         prompt_type=row.prompt_type,
     )
@@ -421,13 +418,11 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    records = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PlanEvalError(f"{path} is not UTF-8: {exc}") from exc
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,11 @@ class SynonymTable:
     @classmethod
     def load(cls, path: str | Path) -> "SynonymTable":
         provider = cls()
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"synonym table {path} is not UTF-8: {exc}") from exc
+        for line_no, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -199,17 +203,10 @@ class PairingResult:
     per_action_scores: tuple[Fraction, ...]
     unpaired: tuple[int, ...]  # 1-based candidate indices left redundant
 
-    def pair_for(self, candidate_index: int) -> ActionPair | None:
-        for pair in self.pairs:
-            if pair.candidate_index == candidate_index:
-                return pair
-        return None
-
 
 @dataclass(frozen=True)
 class ActionQualityMap:
     labels: tuple[QualityLabel, ...]
-    variant: str = "positional"
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -292,7 +289,7 @@ def pair_actions(plan: Plan, gt: Plan,
             unpaired.append(i + 1)
 
     result = PairingResult(plan, gt, tuple(pairs), tuple(scores), tuple(unpaired))
-    aqm = ActionQualityMap(tuple(labels), variant="positional")  # type: ignore[arg-type]
+    aqm = ActionQualityMap(tuple(labels))  # type: ignore[arg-type]
     return result, aqm
 
 
@@ -315,7 +312,7 @@ def non_positional_aqm(aqm: ActionQualityMap, pairing: PairingResult,
                 labels[i] = QualityLabel.SAME_ACT
             elif any(action_similarity(action, g, provider) > ZERO for g in gt):
                 labels[i] = QualityLabel.DIFF_ACT
-    return ActionQualityMap(tuple(labels), variant="non_positional")
+    return ActionQualityMap(tuple(labels))
 
 
 def aqm_score(aqm: ActionQualityMap) -> Fraction:

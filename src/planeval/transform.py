@@ -35,10 +35,6 @@ class Transformation:
     mapping: tuple[tuple[str, str], ...]
 
     @property
-    def mapping_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-    @property
     def changed_objects(self) -> tuple[str, ...]:
         return tuple(src for src, dst in self.mapping if src != dst)
 
@@ -49,10 +45,6 @@ class Transformation:
 
     def total_changes(self, plan_length: int) -> int:
         return self.shift_magnitude(plan_length) + len(self.changed_objects)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0 and not self.changed_objects
 
 
 @dataclass(frozen=True)
@@ -230,7 +222,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     The identity transformation is always in the candidate set, so the
     winner's penalized score is never below the plan's own score.  Raises
     :class:`SearchBudgetExceeded` (carrying the best variant found so far)
-    once more than ``config.budget`` variants have been scored.
+    when variants remain after ``config.budget`` have been scored; the
+    identity, enumerated first, is scored whatever the budget.
     """
     if config is None:
         config = PipelineConfig()
@@ -253,11 +246,11 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         mapped = remap_params(plan, mapping, domain, problem)
         full = _full_mapping(plan, mapping)
         for shift in shifts:
-            if evaluated >= config.budget:
+            if evaluated >= config.budget and best is not None:
                 raise SearchBudgetExceeded(
                     f"variant search exceeded budget {config.budget} "
                     f"({projected or 'unknown'} candidates)",
-                    best=(best.plan, best) if best is not None else None,
+                    best=(best.plan, best),
                 )
             evaluated += 1
             transformation = _as_transformation(shift, full)

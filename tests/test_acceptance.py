@@ -89,7 +89,7 @@ def test_criterion_1_golden_chain(bw_domain, bw_problem, pi0_plan, gt_plan):
 
     pi1, variant = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
     assert variant.transformation.shift == 0
-    assert variant.transformation.mapping_dict == {"a": "b", "b": "a", "c": "c"}
+    assert dict(variant.transformation.mapping) == {"a": "b", "b": "a", "c": "c"}
 
     pairing1, aqm1 = pair_actions(pi1, gt_plan)
     steps1 = steps_to_validity(pi1, aqm1, pairing1, gt_plan, bw_problem)

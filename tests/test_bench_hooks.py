@@ -1,0 +1,36 @@
+"""The benchmark instruments planeval from outside ``src/``: ``bench/spans.py``
+rebinds the functions it names, and ``bench/worker.py`` checks that the
+ground-truth cache is empty before a batch.  A rename in ``src/`` would break
+``bench/run.py`` silently, so these names are checked here."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import planeval
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    spans = load_spans()
+    assert spans.TRACED
+    for _, module_name, function in spans.TRACED:
+        module = importlib.import_module(f"{planeval.__name__}.{module_name}")
+        assert callable(getattr(module, function, None)), f"{module_name}.{function}"
+
+
+def test_pipeline_hooks_exist():
+    from planeval import pipeline
+
+    assert callable(pipeline._evaluate_row_safe)
+    assert isinstance(pipeline._GT_CACHE, dict)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from planeval import evaluate_batch, evaluate_instance, load_config
+from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
 from planeval.errors import ConfigError, InstanceError, ManifestError
+from planeval.pddl import problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
@@ -224,6 +225,74 @@ def test_batch_survives_undecodable_plan(tmp_path):
     assert "error" not in records[1] and records[1]["pi0"]["valid"] is True
 
 
+# ---------------------------------------------------------------------------
+# Ground-truth cache
+# ---------------------------------------------------------------------------
+
+
+def solved_gt_manifest(tmp_path: Path) -> tuple[Path, Path]:
+    """A one-row manifest without a GT file, over a copy of instance-10."""
+    problem = tmp_path / "problem.pddl"
+    problem.write_text(BW_PROBLEM_PATH.read_text())
+    (tmp_path / "good.plan").write_text(INSTANCE_10_GT)
+    manifest = write_manifest(tmp_path, [
+        {"instance_id": "row", "domain_path": str(BW_DOMAIN_PATH),
+         "problem_path": "problem.pddl", "plan_path": "good.plan",
+         "gt_plan_path": "", "model": "m", "prompt_type": "p"},
+    ])
+    return manifest, problem
+
+
+def test_gt_cache_sees_rewritten_problem(tmp_path):
+    manifest, problem = solved_gt_manifest(tmp_path)
+    assert evaluate_batch(manifest).records[0]["gt_length"] == 6
+    problem.write_text(problem.read_text().replace(
+        "(:goal (and (on a c) (on c b)))", "(:goal (on c b))"))
+    assert evaluate_batch(manifest).records[0]["gt_length"] == 4
+
+
+def test_gt_cache_keys_on_external_planner(tmp_path):
+    manifest, _ = solved_gt_manifest(tmp_path)
+    assert evaluate_batch(manifest).records[0]["gt_length"] == 6
+    script = tmp_path / "detour_planner.py"
+    script.write_text(
+        "import sys\n"
+        "domain, problem, out = sys.argv[1:4]\n"
+        f"gt = {INSTANCE_10_GT!r}\n"
+        "open(out, 'w').write('(pick-up a)\\n(put-down a)\\n' + gt)\n"
+    )
+    config = PipelineConfig(external_planner=f"python3 {script}")
+    record = evaluate_batch(manifest, config=config).records[0]
+    assert record["gt_length"] == 8
+
+
+def test_gt_cache_is_shared_by_evaluate_instance(monkeypatch, bw_domain, bw_problem):
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    calls = []
+    solve = pipeline.solve_optimal
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_optimal", counting_solve)
+    first = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
+    second = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
+    assert first == second
+    assert len(calls) == 1
+
+
+def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_GT_CACHE_SIZE", 2)
+    problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
+                for i in range(3)]
+    for problem in problems:
+        evaluate_instance(bw_domain, problem, None)
+    cached = [key[1] for key in pipeline._GT_CACHE]
+    assert cached == [problem_to_pddl(p, bw_domain) for p in problems[1:]]
+
+
 def test_manifest_missing_column(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("instance_id,domain_path\nx,y\n")
@@ -376,15 +445,39 @@ def test_cli_batch_exit_code_on_errors(tmp_path):
 
 @pytest.mark.parametrize("command, bad", [
     ("eval", "--plan"), ("validate", "--plan"), ("solve", "--domain"),
+    ("eval", "--gt-plan"), ("eval", "--config"),
 ])
 def test_cli_undecodable_input_is_an_error_line(tmp_path, capsys, command, bad):
     undecodable = tmp_path / "undecodable.txt"
     undecodable.write_bytes(b"(pick-up a)\xff\n")
+    candidate = tmp_path / "candidate.plan"
+    candidate.write_text(INSTANCE_10_CANDIDATE)
     paths = {"--domain": str(BW_DOMAIN_PATH), "--problem": str(BW_PROBLEM_PATH)}
+    if command != "solve":
+        paths["--plan"] = str(candidate)
     paths[bad] = str(undecodable)
     argv = [command] + [part for item in paths.items() for part in item]
     assert cli_main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # The message names the flag (for --config: the config file) and the path.
+    name = {"--config": "config file"}.get(bad, bad)
+    assert f"{name} {undecodable} is not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["batch", "report", "synonyms"])
+def test_cli_undecodable_file_is_named(tmp_path, capsys, command):
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"(pick-up a)\xff\n")
+    if command == "synonyms":
+        config = tmp_path / "planeval.cfg"
+        config.write_text(f"similarity.synonyms = {undecodable}\n")
+        argv = ["eval", "--domain", str(BW_DOMAIN_PATH), "--problem", str(BW_PROBLEM_PATH),
+                "--plan", str(tmp_path / "absent.plan"), "--config", str(config)]
+    else:
+        argv = [command, str(undecodable), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    assert f"{undecodable} is not UTF-8" in capsys.readouterr().err
 
 
 def test_cli_unsolvable_exit_code(tmp_path):

@@ -121,7 +121,8 @@ def test_find_best_variant_running_example(pi0_plan, gt_plan, bw_problem, bw_dom
 
 def test_identity_wins_for_perfect_plan(gt_plan, bw_problem, bw_domain):
     pi1, score = find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain)
-    assert score.transformation.is_identity
+    assert score.transformation.shift == 0
+    assert score.transformation.total_changes(len(gt_plan)) == 0
     assert pi1.keys() == gt_plan.keys()
     assert score.valid
     assert score.penalty == 0
@@ -162,13 +163,19 @@ def test_shift_and_remap_preserve_multisets(pi0_plan, bw_domain, bw_problem):
     assert len(mapped) == len(pi0_plan)
 
 
-def test_search_budget_exceeded_carries_best(pi0_plan, gt_plan, bw_problem, bw_domain):
-    config = PipelineConfig(budget=5)
+@pytest.mark.parametrize("budget", [0, 5])
+def test_search_budget_exceeded_carries_best(pi0_plan, gt_plan, bw_problem, bw_domain,
+                                             budget):
+    config = PipelineConfig(budget=budget)
     with pytest.raises(SearchBudgetExceeded) as excinfo:
         find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain, config)
     best_plan, best_score = excinfo.value.best
     assert len(best_plan) == len(pi0_plan)
     assert best_score.penalized is not None
+    if budget == 0:  # only the identity, enumerated first, was scored
+        assert best_score.transformation.shift == 0
+        assert not best_score.transformation.changed_objects
+        assert best_plan.keys() == pi0_plan.keys()
 
 
 def test_search_is_deterministic(pi0_plan, gt_plan, bw_problem, bw_domain):

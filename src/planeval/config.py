@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,8 +32,14 @@ class PipelineConfig:
     # planner.*
     planner_timeout: float = 10.0
     external_planner: str | None = None
+    # The provider built from the similarity.* keys, once resolved; a batch
+    # sets it before its first row so every row shares one provider.
+    resolved_provider: NameSimilarityProvider | None = field(
+        default=None, repr=False, compare=False)
 
     def provider(self) -> NameSimilarityProvider:
+        if self.resolved_provider is not None:
+            return self.resolved_provider
         if self.similarity_provider == "char_lcs":
             return CharLcsSimilarity(floor=self.similarity_floor)
         if self.similarity_provider != "exact":

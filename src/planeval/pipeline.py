@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -422,7 +422,14 @@ def read_jsonl(path: str | Path) -> list[dict]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise PlanEvalError(f"{path} is not UTF-8: {exc}") from exc
-    return [json.loads(line) for line in text.split("\n") if line.strip()]
+    records = []
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise PlanEvalError(f"{path} line {line_no} is not JSON: {exc}") from exc
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,8 @@ def evaluate_batch(manifest_path: str | Path, jobs: int = 1,
     if config is None:
         config = PipelineConfig()
     rows = load_manifest(manifest_path)
+    # A bad synonym table fails the batch here, before any row runs.
+    config = replace(config, resolved_provider=config.provider())
 
     if jobs <= 1:
         records = [_evaluate_row_safe(row, config) for row in rows]

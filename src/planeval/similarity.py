@@ -127,11 +127,12 @@ class SynonymTable:
                 continue
             parts = stripped.split()
             if len(parts) != 3:
-                raise ConfigError(f"synonym table line {line_no}: expected 'name1 name2 score'")
+                raise ConfigError(
+                    f"synonym table {path} line {line_no}: expected 'name1 name2 score'")
             try:
                 provider._add(parts[0], parts[1], Fraction(parts[2]))
-            except ValueError as exc:
-                raise ConfigError(f"synonym table line {line_no}: {exc}") from exc
+            except (ValueError, ZeroDivisionError, ConfigError) as exc:
+                raise ConfigError(f"synonym table {path} line {line_no}: {exc}") from exc
         return provider
 
     def __call__(self, a: str, b: str) -> Fraction:

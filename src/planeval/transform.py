@@ -5,22 +5,43 @@ plan's object count stays at or below ``prune_threshold``; above it, only
 mappings that make at least one action land exactly on its ground-truth
 counterpart under some shift are generated (plus the identity).  Mapping is
 applied first, then the shift.
+
+The search is exact but scores few variants.  Variants are simulated
+instead: all have the plan's length, so all valid ones share one raw score
+and rank by penalty and tie-break alone, and any valid variant beats every
+invalid one.  An invalid variant is scored in full only when an upper bound
+on its score, which depends on the mapping alone, says it can still beat
+the best variant scored so far.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .config import PipelineConfig
 from .errors import NonBijectiveMapping, SearchBudgetExceeded
 from .lcs import lcs_analyze
-from .pddl import DomainModel, Plan, ProblemModel, resolve_action
-from .scoring import ScoreBreakdown, plan_score
-from .similarity import NameSimilarityProvider, make_similarity_cache, pair_actions
+from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
+from .scoring import (
+    PAIR_BONUS,
+    SUBSEQUENCE_BONUS_PER_ACTION,
+    SUBSTRING_BONUS_PER_ACTION,
+    ScoreBreakdown,
+    length_penalty,
+    plan_score,
+)
+from .similarity import (
+    FLAT_MATCH_SCORE,
+    NameSimilarityProvider,
+    action_similarity,
+    make_similarity_cache,
+    pair_actions,
+)
 from .simulator import is_valid
 
 ZERO = Fraction(0)
@@ -79,19 +100,26 @@ def _full_mapping(plan: Plan, mapping: Mapping[str, str]) -> dict[str, str]:
 
 
 def remap_params(plan: Plan, mapping: Mapping[str, str],
-                 domain: DomainModel, problem: ProblemModel) -> Plan:
+                 domain: DomainModel, problem: ProblemModel,
+                 resolved: dict[tuple, GroundAction] | None = None) -> Plan:
     """Substitute every argument occurrence simultaneously; names unchanged.
 
     Objects missing from *mapping* stay fixed.  Each remapped action is
     re-resolved against *domain* and *problem*, so type-invalid combinations
-    come back flagged unresolvable.
+    come back flagged unresolvable.  *resolved* memoises the resolution of
+    each ``(name, args)`` across calls against the same domain and problem.
     """
     full = _full_mapping(plan, mapping)
-    actions = tuple(
-        resolve_action(action.name, tuple(full[arg] for arg in action.args), domain, problem)
-        for action in plan
-    )
-    return Plan(actions, label=plan.label)
+    if resolved is None:
+        resolved = {}
+    actions = []
+    for action in plan:
+        key = (action.name, tuple(full[arg] for arg in action.args))
+        remapped = resolved.get(key)
+        if remapped is None:
+            remapped = resolved[key] = resolve_action(*key, domain, problem)
+        actions.append(remapped)
+    return Plan(tuple(actions), label=plan.label)
 
 
 def transformation_penalty(transformation: Transformation, plan_length: int,
@@ -104,10 +132,6 @@ def transformation_penalty(transformation: Transformation, plan_length: int,
 # ---------------------------------------------------------------------------
 # Candidate mapping generation
 # ---------------------------------------------------------------------------
-
-
-def _as_transformation(shift: int, full_mapping: Mapping[str, str]) -> Transformation:
-    return Transformation(shift, tuple(sorted(full_mapping.items())))
 
 
 def _exhaustive_mappings(objs: list[str]) -> Iterator[dict[str, str]]:
@@ -184,21 +208,56 @@ def _pruned_mappings(plan: Plan, gt: Plan, objs: list[str],
 # Search
 # ---------------------------------------------------------------------------
 
+#: What one identical-action pair can earn: the flat pair score, the pair
+#: bonus, and a place in both the substring and the subsequence run.
+SHARED_ACTION_CEILING = (FLAT_MATCH_SCORE + PAIR_BONUS + SUBSTRING_BONUS_PER_ACTION
+                         + SUBSEQUENCE_BONUS_PER_ACTION)
 
-def _better(a: VariantScore, b: VariantScore, plan_length: int) -> bool:
-    """Ranking: valid first, then penalized score, then fewer total changes,
-    then the identity-closest (smallest shift, smallest mapping) variant."""
-    if a.valid != b.valid:
-        return a.valid
-    if a.penalized != b.penalized:
-        return a.penalized > b.penalized
-    changes_a = a.transformation.total_changes(plan_length)
-    changes_b = b.transformation.total_changes(plan_length)
-    if changes_a != changes_b:
-        return changes_a < changes_b
-    if a.transformation.shift != b.transformation.shift:
-        return a.transformation.shift < b.transformation.shift
-    return a.transformation.mapping < b.transformation.mapping
+
+def _score_ceiling(plan: Plan, gt: Plan, provider: NameSimilarityProvider
+                   ) -> Callable[[Plan], Fraction]:
+    """Upper bound on the raw total of any invalid variant of *plan*.
+
+    The returned function takes a variant and depends only on its multiset
+    of actions, so one call covers every shift of a mapping.  Of the
+    ``min(count_variant(k), count_gt(k))`` identical pairs per action ``k``,
+    each earns at most :data:`SHARED_ACTION_CEILING` (both LCS runs are no
+    longer than the number of such pairs).  Every other action earns at most
+    its best similarity to any ground-truth action, plus the pair bonus if
+    its name occurs in the ground truth.  A mapping changes neither names
+    nor arities, and since ``F + M`` never exceeds the smaller arity, that
+    best similarity is reached with identical arguments, so it is computed
+    once per (name, arity).
+    """
+    base = len(plan) - length_penalty(len(plan), len(gt))
+    gt_counts = Counter(gt.keys())
+    gt_names = {action.name for action in gt}
+    gt_shapes = {(action.name, len(action.args)) for action in gt}
+
+    def shaped(name: str, arity: int) -> GroundAction:
+        return GroundAction(name, tuple(f"?{i}" for i in range(arity)))
+
+    caps: dict[tuple[str, int], Fraction] = {}
+    for action in plan:
+        shape = (action.name, len(action.args))
+        if shape not in caps:
+            best_similarity = max(action_similarity(shaped(*shape), shaped(*gt_shape),
+                                                    provider)
+                                  for gt_shape in gt_shapes)
+            caps[shape] = best_similarity + (PAIR_BONUS if action.name in gt_names
+                                             else ZERO)
+
+    def ceiling(variant: Plan) -> Fraction:
+        shared = 0
+        rest = ZERO
+        for key, count in Counter(variant.keys()).items():
+            pairs = min(count, gt_counts[key])
+            shared += pairs
+            if count > pairs:
+                rest += (count - pairs) * caps[key[0], len(key[1])]
+        return base + SHARED_ACTION_CEILING * shared + rest
+
+    return ceiling
 
 
 def score_variant(variant: Plan, transformation: Transformation, gt: Plan,
@@ -219,19 +278,37 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                       ) -> tuple[Plan, VariantScore]:
     """Enumerate transformed variants and select the best one.
 
-    The identity transformation is always in the candidate set, so the
-    winner's penalized score is never below the plan's own score.  Raises
-    :class:`SearchBudgetExceeded` (carrying the best variant found so far)
-    when variants remain after ``config.budget`` have been scored; the
-    identity, enumerated first, is scored whatever the budget.
+    Ranking: valid first, then penalized score, then fewer total changes,
+    then the smaller shift, then the smaller mapping.  The identity
+    transformation is always in the candidate set, so the winner's penalized
+    score is never below the plan's own score.
+
+    One streaming pass simulates each variant whose actions all resolve.
+    Valid variants rank on (penalty, changes, shift, mapping) alone, and
+    once one is found, a later variant is simulated only if that key is
+    smaller.  Before a valid variant is found, an invalid one is scored only
+    if the mapping's score ceiling minus its penalty can still beat the best
+    scored so far, ties decided by the tie-break.  Only the valid winner, if
+    any, is scored.
+
+    Raises :class:`SearchBudgetExceeded`, carrying the exact winner among
+    the variants enumerated so far, when variants remain after
+    ``config.budget`` have been enumerated; the identity, enumerated first,
+    always is.
     """
     if config is None:
         config = PipelineConfig()
+    if provider is None:
+        provider = config.provider()
     objs = sorted(plan.objects())
     length = len(plan)
     shifts = list(range(length)) if length else [0]
-    sim = make_similarity_cache(provider if provider is not None
-                                else config.provider())
+    sim = make_similarity_cache(provider)
+    ceiling_of = _score_ceiling(plan, gt, provider)
+    # Exact penalties, indexed by the number of moved objects, then the shift.
+    magnitudes = [min(shift, length - shift) for shift in shifts]
+    penalties = [[config.c_shift * magnitude + config.c_map * moved
+                  for magnitude in magnitudes] for moved in range(len(objs) + 1)]
 
     if len(objs) <= config.prune_threshold:
         mappings: Iterable[dict[str, str]] = _exhaustive_mappings(objs)
@@ -240,23 +317,58 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         mappings = _pruned_mappings(plan, gt, objs, shifts)
         projected = None  # lazily generated; bounded by the budget check
 
-    best: VariantScore | None = None
-    evaluated = 0
+    resolved: dict[tuple, GroundAction] = {}
+    best: VariantScore | None = None  # best scored invalid variant
+    best_rank: tuple = ()  # (changes, shift, mapping) of best
+    valid: tuple | None = None  # ((penalty, changes, shift, mapping), plan)
+
+    def winner() -> VariantScore:
+        if valid is None:
+            return best
+        (_, _, shift, pairs), variant = valid
+        return score_variant(variant, Transformation(shift, pairs), gt, problem,
+                             length, config, sim=sim)
+
+    enumerated = 0
     for mapping in mappings:
-        mapped = remap_params(plan, mapping, domain, problem)
-        full = _full_mapping(plan, mapping)
+        mapped = remap_params(plan, mapping, domain, problem, resolved)
+        pairs = tuple(sorted(mapping.items()))
+        moved = sum(src != dst for src, dst in pairs)
+        costs = penalties[moved]
+        # An unresolvable action never executes, so no shift can be valid.
+        executable = all(action.resolvable for action in mapped)
+        # An invalid variant can win only if (penalty, rank) stays below this.
+        limit = None
         for shift in shifts:
-            if evaluated >= config.budget and best is not None:
+            if enumerated and enumerated >= config.budget:
+                found = winner()
                 raise SearchBudgetExceeded(
                     f"variant search exceeded budget {config.budget} "
                     f"({projected or 'unknown'} candidates)",
-                    best=(best.plan, best),
+                    best=(found.plan, found),
                 )
-            evaluated += 1
-            transformation = _as_transformation(shift, full)
-            candidate = score_variant(circular_shift(mapped, shift), transformation,
-                                      gt, problem, length, config, sim=sim)
-            if best is None or _better(candidate, best, length):
-                best = candidate
-    assert best is not None  # identity is always enumerated
-    return best.plan, best
+            enumerated += 1
+            penalty = costs[shift]
+            rank = (magnitudes[shift] + moved, shift, pairs)
+            if valid is not None and (penalty, *rank) >= valid[0]:
+                continue
+            if executable:
+                variant = circular_shift(mapped, shift)
+                if is_valid(variant, problem):
+                    valid = ((penalty, *rank), variant)
+                    continue
+            if valid is not None:
+                continue
+            if best is not None:
+                if limit is None:
+                    limit = (ceiling_of(mapped) - best.penalized, *best_rank)
+                if (penalty, *rank) > limit:
+                    continue
+            candidate = score_variant(circular_shift(mapped, shift),
+                                      Transformation(shift, pairs), gt, problem, length,
+                                      config, sim=sim)
+            if (best is None or candidate.penalized > best.penalized
+                    or (candidate.penalized == best.penalized and rank < best_rank)):
+                best, best_rank, limit = candidate, rank, None
+    found = winner()
+    return found.plan, found

@@ -128,12 +128,16 @@ def brute_force_param_counts(p: list[str], q: list[str]) -> tuple[int, int]:
 
 
 def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
-                         domain: DomainModel, config):
+                         domain: DomainModel, config, provider=None, limit=None):
     """Score every (mapping, shift) variant and rank with an explicit sort.
 
     Ordering: valid first, then highest penalized score, then fewest total
     changes, then smallest shift, then lexicographically smallest mapping.
+    Names are compared by *provider* (default: ``config.provider()``).  With
+    *limit*, only the first *limit* variants in enumeration order (mappings
+    as permutations of the sorted objects, then shifts) are ranked.
     """
+    from planeval.similarity import make_similarity_cache
     from planeval.transform import (
         Transformation,
         circular_shift,
@@ -141,16 +145,20 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
         score_variant,
     )
 
+    sim = make_similarity_cache(provider if provider is not None else config.provider())
     objs = sorted(plan.objects())
     shifts = list(range(len(plan))) if len(plan) else [0]
+    enumeration = [(perm, shift) for perm in itertools.permutations(objs)
+                   for shift in shifts]
+    remapped = {}
     scored = []
-    for perm in itertools.permutations(objs):
+    for perm, shift in enumeration[:limit]:
         mapping = dict(zip(objs, perm))
-        mapped = remap_params(plan, mapping, domain, problem)
-        for shift in shifts:
-            transformation = Transformation(shift, tuple(sorted(mapping.items())))
-            scored.append(score_variant(circular_shift(mapped, shift), transformation,
-                                        gt, problem, len(plan), config))
+        if perm not in remapped:
+            remapped[perm] = remap_params(plan, mapping, domain, problem)
+        transformation = Transformation(shift, tuple(sorted(mapping.items())))
+        scored.append(score_variant(circular_shift(remapped[perm], shift), transformation,
+                                    gt, problem, len(plan), config, sim=sim))
 
     def sort_key(vs):
         return (

@@ -271,6 +271,43 @@ def test_criterion_4_recovery_success_rate(tmp_path, bw_domain, bw_problem,
             f"> pi0 SR {by_model['shuffled']['pi0_SR']:.2f}")
 
 
+def test_criterion_4_batch_scores_few_variants(tmp_path, monkeypatch, bw_domain, bw_problem,
+                                              logistics_domain, logistics_problems):
+    # The pi1 search simulates every variant but scores only those that can
+    # still win; a fallback to scoring every variant fails here.
+    import math
+
+    from planeval import pipeline, transform
+
+    counts = {"enumerated": 0, "scored": 0}
+    score_variant = transform.score_variant
+    search = pipeline.find_best_variant
+
+    def counting_score(*args, **kwargs):
+        counts["scored"] += 1
+        return score_variant(*args, **kwargs)
+
+    def counting_search(plan, gt, problem, domain, config, **kwargs):
+        objs = sorted(plan.objects())
+        shifts = list(range(len(plan))) or [0]
+        if len(objs) <= config.prune_threshold:
+            mappings = math.factorial(len(objs))
+        else:
+            mappings = sum(1 for _ in transform._pruned_mappings(plan, gt, objs, shifts))
+        counts["enumerated"] += mappings * len(shifts)
+        return search(plan, gt, problem, domain, config, **kwargs)
+
+    monkeypatch.setattr(transform, "score_variant", counting_score)
+    monkeypatch.setattr(pipeline, "find_best_variant", counting_search)
+    manifest = _build_batch(tmp_path, bw_domain, logistics_domain,
+                            logistics_problems, bw_problem)
+    result = evaluate_batch(manifest)
+    assert not result.had_errors
+    assert not any(r["flags"]["transform_budget_exceeded"] for r in result.records)
+    assert counts["enumerated"] > 10_000
+    assert counts["scored"] <= 0.05 * counts["enumerated"], counts
+
+
 # ---------------------------------------------------------------------------
 # Criterion 5: LCS equals the exponential brute force
 # ---------------------------------------------------------------------------

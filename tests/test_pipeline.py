@@ -375,6 +375,22 @@ def test_config_synonyms_provider(tmp_path):
     assert provider("unstack", "stack") == 0
 
 
+def test_batch_loads_synonym_table_once(tmp_path, monkeypatch):
+    from planeval.similarity import SynonymTable
+
+    synonyms = tmp_path / "syn.txt"
+    synonyms.write_text("pick-up lift 0.9\n")
+    config = PipelineConfig(synonyms=str(synonyms))
+    loads = []
+    original = SynonymTable.load.__func__
+    monkeypatch.setattr(SynonymTable, "load",
+                        classmethod(lambda cls, path: loads.append(path) or original(cls, path)))
+    result = evaluate_batch(two_instance_manifest(tmp_path), config=config)
+    assert not result.had_errors
+    assert loads == [str(synonyms)]
+    assert config.resolved_provider is None  # the caller's config is not changed
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -492,3 +508,30 @@ def test_cli_unsolvable_exit_code(tmp_path):
     code = cli_main(["solve", "--domain", str(BW_DOMAIN_PATH),
                      "--problem", str(problem)])
     assert code == 1
+
+
+def test_cli_batch_bad_synonym_table_fails_before_any_row(tmp_path, capsys):
+    synonyms = tmp_path / "syn.txt"
+    synonyms.write_text("pick-up lift\n")
+    config = tmp_path / "planeval.cfg"
+    config.write_text(f"similarity.synonyms = {synonyms}\n")
+    (tmp_path / "good.plan").write_text(INSTANCE_10_GT)
+    manifest = write_manifest(tmp_path, [
+        {"instance_id": "good", "domain_path": str(BW_DOMAIN_PATH),
+         "problem_path": str(BW_PROBLEM_PATH), "plan_path": "good.plan",
+         "gt_plan_path": "", "model": "m", "prompt_type": "p"},
+    ])
+    code = cli_main(["batch", str(manifest), "--out", str(tmp_path / "results"),
+                     "--config", str(config)])
+    assert code == 1
+    assert (f"error: synonym table {synonyms} line 1: expected 'name1 name2 score'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+def test_cli_report_non_json_line_is_an_error_line(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"a": 1}\nnot json\n')
+    code = cli_main(["report", str(records), "--out", str(tmp_path / "report.csv")])
+    assert code == 1
+    assert f"error: {records} line 2 is not JSON: " in capsys.readouterr().err

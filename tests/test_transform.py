@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
@@ -15,9 +16,16 @@ from planeval import (
     remap_params,
 )
 from planeval.errors import NonBijectiveMapping, SearchBudgetExceeded
-from planeval.pddl import GroundAction, Plan
-from planeval.transform import Transformation, transformation_penalty
+from planeval.pddl import GroundAction, Plan, ProblemModel
+from planeval.similarity import SynonymTable, make_similarity_cache
+from planeval.transform import (
+    Transformation,
+    _score_ceiling,
+    score_variant,
+    transformation_penalty,
+)
 
+from conftest import make_bw_problem
 from oracles import rank_variants_oracle
 
 PI1_TEXT = ("(unstack b c)\n(put-down b)\n(pick-up c)\n(stack c b)\n"
@@ -153,6 +161,138 @@ def test_search_matches_exhaustive_oracle_small(bw_domain, bw_problem, gt_plan):
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
         assert best_plan.keys() == oracle.plan.keys()
+
+
+SYNONYMS = SynonymTable({("pick-up", "lift"): Fraction(1, 2)})
+
+
+def _random_plans(gt_plan, bw_domain, bw_problem, rng):
+    """Short plans over three objects, one hallucinated name among them, and
+    remapped, shifted ground truths with at most one action replaced."""
+    names = [("pick-up", 1), ("put-down", 1), ("stack", 2), ("unstack", 2), ("lift", 1)]
+    objects = ["a", "b", "c"]
+    for _ in range(20):
+        actions = []
+        for _ in range(rng.randint(1, 4)):
+            name, arity = rng.choice(names)
+            actions.append(act(name, *(rng.choice(objects) for _ in range(arity))))
+        yield Plan(tuple(actions))
+    for _ in range(6):
+        swap = dict(zip(objects, rng.sample(objects, len(objects))))
+        plan = circular_shift(remap_params(gt_plan, swap, bw_domain, bw_problem),
+                              rng.randrange(len(gt_plan)))
+        if rng.random() < 0.5:
+            actions = list(plan.actions)
+            actions[rng.randrange(len(actions))] = act("lift", rng.choice(objects))
+            plan = Plan(tuple(actions))
+        yield plan
+
+
+@pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0), (Fraction(1, 2), 2)],
+                         ids=["1-1", "0-0", "half-2"])
+@pytest.mark.parametrize("provider_name", ["exact", "char_lcs", "synonyms"])
+def test_search_matches_oracle_under_every_provider_and_cost(
+        bw_domain, bw_problem, gt_plan, provider_name, c_shift, c_map):
+    # (0, 0) makes many variants tie on the penalized score, so pruning on
+    # equality and the tie-break are exercised.
+    config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map),
+                            similarity_provider=("char_lcs" if provider_name == "char_lcs"
+                                                 else "exact"))
+    provider = SYNONYMS if provider_name == "synonyms" else config.provider()
+    for plan in _random_plans(gt_plan, bw_domain, bw_problem, random.Random(5)):
+        best_plan, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config,
+                                            provider=provider)
+        oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config,
+                                      provider=provider)
+        assert best.transformation == oracle.transformation
+        assert best.penalized == oracle.penalized
+        assert best.valid == oracle.valid
+        assert best_plan.keys() == oracle.plan.keys()
+
+
+@pytest.mark.parametrize("provider, max_length", [
+    (PipelineConfig().provider(), 4),
+    (PipelineConfig(similarity_provider="char_lcs").provider(), 3),
+    (SYNONYMS, 3),
+], ids=["exact", "char_lcs", "synonyms"])
+def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_plan,
+                                                    provider, max_length):
+    config = PipelineConfig()
+    alphabet = list(gt_plan.actions)  # the criterion-8 alphabet
+    plans = [Plan(combo) for length in range(max_length + 1)
+             for combo in itertools.product(alphabet, repeat=length)]
+    plans.append(parse_plan("(pick-up z)\n(stack z a)\n(lift c)\n(unstack a z)\n",
+                            bw_domain, bw_problem))  # z is not a problem object
+    sim = make_similarity_cache(provider)
+    checked = 0
+    for plan in plans:
+        ceiling = _score_ceiling(plan, gt_plan, provider)
+        objs = sorted(plan.objects())
+        for perm in itertools.permutations(objs):
+            mapping = dict(zip(objs, perm))
+            mapped = remap_params(plan, mapping, bw_domain, bw_problem)
+            for shift in range(max(len(plan), 1)):
+                variant = circular_shift(mapped, shift)
+                score = score_variant(variant, Transformation(shift, tuple(mapping.items())),
+                                      gt_plan, bw_problem, len(plan), config,
+                                      sim=sim)
+                if not score.valid:
+                    assert ceiling(variant) - score.penalty >= score.penalized
+                    checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("which, budget", [
+    ("pi0", 1), ("pi0", 7), ("pi0", 40),
+    ("shuffled-gt", 4), ("shuffled-gt", 5), ("shuffled-gt", 30),
+])
+def test_budget_winner_is_exact_over_enumerated_prefix(pi0_plan, gt_plan, bw_problem,
+                                                       bw_domain, which, budget):
+    # pi0 has 48 variants.  The shuffled ground truth has 36, and a valid one
+    # is the fifth enumerated (identity mapping, shift 4).
+    plan = pi0_plan if which == "pi0" else circular_shift(gt_plan, 2)
+    config = PipelineConfig(budget=budget)
+    with pytest.raises(SearchBudgetExceeded) as excinfo:
+        find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+    best_plan, best = excinfo.value.best
+    oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config,
+                                  limit=budget)
+    assert best.transformation == oracle.transformation
+    assert best.penalized == oracle.penalized
+    assert best.valid == oracle.valid
+    assert best_plan.keys() == oracle.plan.keys()
+
+
+@pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0)], ids=["1-1", "0-0"])
+def test_later_valid_variant_with_a_smaller_key_wins(bw_domain, c_shift, c_map):
+    # A 3-cycle of the objects makes the plan valid and is enumerated before
+    # the a/c swap, which is valid too, moves fewer objects and so wins.
+    table = make_bw_problem(bw_domain, [["a"], ["b"], ["c"]], [["a"]])
+    problem = ProblemModel("holding-a", bw_domain.name, table.objects, table.init,
+                           frozenset({("holding", "a")}))
+    plan = parse_plan("(pick-up a)\n(stack a b)\n(pick-up c)\n", bw_domain, problem)
+    gt = parse_plan("(pick-up a)\n", bw_domain, problem)
+    config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map))
+    _, best = find_best_variant(plan, gt, problem, bw_domain, config)
+    oracle = rank_variants_oracle(plan, gt, problem, bw_domain, config)
+    assert best.valid
+    assert best.transformation == oracle.transformation
+    assert dict(best.transformation.mapping) == {"a": "c", "b": "b", "c": "a"}
+
+
+@pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0)], ids=["1-1", "0-0"])
+def test_variant_at_its_ceiling_that_wins_the_tie_break_is_scored(
+        bw_domain, bw_problem, c_shift, c_map):
+    # Shift 2 of the identity and the x/y swap at shift 0 both rebuild the
+    # ground truth exactly, so both score their ceiling and tie; the swap is
+    # enumerated later but wins on the smaller shift.
+    gt = Plan((act("p", "x"), act("q", "x"), act("p", "y"), act("q", "y")))
+    plan = circular_shift(gt, 2)
+    config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map))
+    _, best = find_best_variant(plan, gt, bw_problem, bw_domain, config)
+    oracle = rank_variants_oracle(plan, gt, bw_problem, bw_domain, config)
+    assert best.transformation == oracle.transformation
+    assert best.transformation == Transformation(0, (("x", "y"), ("y", "x")))
 
 
 def test_shift_and_remap_preserve_multisets(pi0_plan, bw_domain, bw_problem):

@@ -2,7 +2,12 @@
 
 A* with the admissible h_max heuristic guarantees minimum action count.
 States are encoded as atom bitmasks for fast duplicate detection; the
-public API speaks in :class:`~planeval.pddl.Plan` and atom sets.
+public API speaks in :class:`~planeval.pddl.Plan` and atom sets.  h_max is
+computed in unit-cost layers of the delete relaxation: each layer fires
+every action whose preconditions have all been reached, and h_max is the
+first layer whose reached atoms cover the goal.  That is the value of the
+delete-relaxation fixpoint (Bonet & Geffner 2001), reached in one pass per
+layer instead of repeated sweeps over every action.
 """
 
 from __future__ import annotations
@@ -75,17 +80,8 @@ class _GroundTask:
                 mask_of(action.del_effects),
             ))
         self.atom_index = atom_index
-        self.num_atoms = len(atom_index)
-        # Precomputed per-action atom index lists for the heuristic.
-        self.pre_idx = [
-            [j for j in range(self.num_atoms) if pre >> j & 1]
-            for _, pre, _, _ in self.encoded
-        ]
-        self.add_idx = [
-            [j for j in range(self.num_atoms) if add >> j & 1]
-            for _, _, add, _ in self.encoded
-        ]
-        self.goal_idx = [j for j in range(self.num_atoms) if self.goal_mask >> j & 1]
+        # (precondition, add) mask pairs: all the delete relaxation reads.
+        self.relaxed = [(pre, add) for _, pre, add, _ in self.encoded]
 
     def state_mask(self, state: State) -> int:
         mask = 0
@@ -98,35 +94,32 @@ class _GroundTask:
 
 
 def hmax(task: _GroundTask, state: int) -> float:
-    """Admissible delete-relaxation heuristic: max over goal atom levels."""
-    dist = [0.0 if state >> j & 1 else INF for j in range(task.num_atoms)]
-    changed = True
-    while changed:
-        changed = False
-        for i, (_, _, _, _) in enumerate(task.encoded):
-            level = 0.0
-            for j in task.pre_idx[i]:
-                d = dist[j]
-                if d == INF:
-                    level = INF
-                    break
-                if d > level:
-                    level = d
-            if level == INF:
-                continue
-            via = level + 1.0
-            for j in task.add_idx[i]:
-                if via < dist[j]:
-                    dist[j] = via
-                    changed = True
-    best = 0.0
-    for j in task.goal_idx:
-        d = dist[j]
-        if d == INF:
+    """Admissible delete-relaxation heuristic: max over goal atom levels.
+
+    Layer k fires every action not yet fired whose preconditions are all
+    reached by layer k and adds its add effects to layer k + 1, so an atom
+    is first reached in the layer equal to its h_max level.  The result is
+    the first layer that covers the goal, or ``INF`` once a layer adds
+    nothing.
+    """
+    goal = task.goal_mask
+    reached = state
+    pending = task.relaxed
+    layer = 0.0
+    while goal & ~reached:
+        grown = reached
+        waiting = []
+        for pre, add in pending:
+            if reached & pre == pre:
+                grown |= add
+            else:
+                waiting.append((pre, add))
+        if grown == reached:
             return INF
-        if d > best:
-            best = d
-    return best
+        reached = grown
+        pending = waiting
+        layer += 1.0
+    return layer
 
 
 def _search(task: _GroundTask, start: int, timeout: float,

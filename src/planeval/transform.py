@@ -263,6 +263,9 @@ def _score_ceiling(plan: Plan, gt: Plan, provider: NameSimilarityProvider
 def score_variant(variant: Plan, transformation: Transformation, gt: Plan,
                   problem: ProblemModel, plan_length: int,
                   config: PipelineConfig, sim=None) -> VariantScore:
+    """Score one variant; names compare by *sim*, else by ``config.provider()``."""
+    if sim is None:
+        sim = make_similarity_cache(config.provider())
     valid = is_valid(variant, problem)
     pairing, _ = pair_actions(variant, gt, sim=sim)
     breakdown = plan_score(variant, gt, pairing, lcs_analyze(variant, gt), valid)

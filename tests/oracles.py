@@ -7,6 +7,7 @@ values for the tests and must stay independent of the code paths they check.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 from planeval.pddl import Atom, DomainModel, Plan, ProblemModel, State
@@ -78,6 +79,53 @@ def bfs_optimal_cost(problem: ProblemModel, domain: DomainModel) -> int | None:
     dist = bfs_distances(problem.init, actions)
     costs = [d for state, d in dist.items() if problem.goal <= state]
     return min(costs) if costs else None
+
+
+def count_optimal_plans(problem: ProblemModel, domain: DomainModel) -> int:
+    """Number of distinct minimum-length plans (action sequences) to the goal."""
+    actions = ground_all_actions(domain, problem)
+    dist = bfs_distances(problem.init, actions)
+    optimum = min(d for state, d in dist.items() if problem.goal <= state)
+    ways: dict[State, int] = {problem.init: 1}
+    for state in dist:  # BFS order: nondecreasing distance
+        if dist[state] >= optimum:
+            continue
+        for action in actions:
+            if action.preconditions <= state:
+                successor = (state - action.del_effects) | action.add_effects
+                if dist[successor] == dist[state] + 1:
+                    ways[successor] = ways.get(successor, 0) + ways[state]
+    return sum(n for state, n in ways.items()
+               if problem.goal <= state and dist[state] == optimum)
+
+
+# ---------------------------------------------------------------------------
+# Delete-relaxation heuristic oracle
+# ---------------------------------------------------------------------------
+
+
+def hmax_oracle(task, state: State) -> float:
+    """h_max by the Bellman-Ford fixpoint over atom sets.
+
+    An atom of *state* has level 0; an action whose preconditions all have a
+    level gives each of its add effects the level max(preconditions) + 1
+    unless it already has a lower one; sweep over ``task.actions`` until no
+    level drops.  Returns the highest goal level, ``inf`` if a goal atom is
+    never reached.
+    """
+    level: dict[Atom, float] = {atom: 0.0 for atom in state}
+    changed = True
+    while changed:
+        changed = False
+        for action in task.actions:
+            if not action.preconditions <= level.keys():
+                continue
+            via = max((level[atom] for atom in action.preconditions), default=0.0) + 1.0
+            for atom in action.add_effects:
+                if via < level.get(atom, math.inf):
+                    level[atom] = via
+                    changed = True
+    return max((level.get(atom, math.inf) for atom in task.problem.goal), default=0.0)
 
 
 # ---------------------------------------------------------------------------

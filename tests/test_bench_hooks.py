@@ -1,12 +1,14 @@
 """The benchmark instruments planeval from outside ``src/``: ``bench/spans.py``
-rebinds the functions it names, and ``bench/worker.py`` checks that the
-ground-truth cache is empty before a batch.  A rename in ``src/`` would break
-``bench/run.py`` silently, so these names are checked here."""
+rebinds the functions it names, ``bench/worker.py`` checks that the
+ground-truth cache is empty before a batch, and ``bench/make_pool.py`` passes
+its own h_max to the planner.  A rename in ``src/`` would break ``bench/``
+silently, so these names are checked here."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import planeval
@@ -34,3 +36,15 @@ def test_pipeline_hooks_exist():
 
     assert callable(pipeline._evaluate_row_safe)
     assert isinstance(pipeline._GT_CACHE, dict)
+
+
+def test_pool_builder_planner_hooks_exist():
+    # make_pool.py counts heuristic evaluations by passing a wrapper of
+    # planner.hmax as heuristic= to solve_optimal and replan_from.
+    from planeval import planner
+
+    assert list(inspect.signature(planner.hmax).parameters) == ["task", "state"]
+    for search in (planeval.solve_optimal, planeval.replan_from):
+        parameters = inspect.signature(search).parameters
+        assert parameters["heuristic"].default is planner.hmax
+        assert "timeout" in parameters

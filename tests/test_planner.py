@@ -4,11 +4,19 @@ import pytest
 
 from planeval import is_valid, replan_from, simulate, solve_optimal
 from planeval.errors import PlanningTimeout, PlanningUnsolvable
-from planeval.pddl import ProblemModel
-from planeval.planner import _GroundTask, ground_all_actions, hmax
+from planeval.pddl import ProblemModel, plan_to_text
+from planeval.planner import INF, _GroundTask, ground_all_actions, hmax
 
 from conftest import make_bw_problem
-from oracles import bfs_distances, bfs_optimal_cost, bw_table_problem, config_atoms, tower_configs
+from oracles import (
+    bfs_distances,
+    bfs_optimal_cost,
+    bw_table_problem,
+    config_atoms,
+    count_optimal_plans,
+    hmax_oracle,
+    tower_configs,
+)
 
 
 def test_instance_10_optimal_cost(bw_domain, bw_problem, gt_plan):
@@ -94,6 +102,64 @@ def test_hmax_is_admissible(bw_domain):
         if remaining is None:
             continue
         assert hmax(task, task.state_mask(state)) <= remaining
+
+
+def test_hmax_matches_fixpoint_oracle(bw_domain, bw_problem, gt_plan,
+                                      logistics_domain, logistics_problems):
+    blocks = ("b1", "b2", "b3", "b4")
+    tower = bw_table_problem(bw_domain, blocks, config_atoms((blocks,)))
+    cases = [(tower, bw_domain)]
+    cases += [(problem, logistics_domain) for problem in logistics_problems.values()]
+    for problem, domain in cases:
+        task = _GroundTask(domain, problem)
+        reachable = bfs_distances(problem.init, task.actions)
+        for state in reachable:
+            assert hmax(task, task.state_mask(state)) == hmax_oracle(task, state)
+
+    def with_goal(goal):
+        return _GroundTask(bw_domain, ProblemModel(
+            bw_problem.name, bw_problem.domain_name, bw_problem.objects,
+            bw_problem.init, frozenset(goal)))
+
+    # (on a a) is unsolvable, but its relaxation reaches it by pick-up, stack.
+    task = with_goal({("on", "a", "a")})
+    assert hmax(task, task.init_mask) == hmax_oracle(task, bw_problem.init) == 2
+    # No action adds an atom of an undeclared object.
+    task = with_goal({("on", "a", "b"), ("ontable", "z")})
+    assert hmax(task, task.init_mask) == hmax_oracle(task, bw_problem.init) == INF
+    task = with_goal(bw_problem.goal)
+    final = simulate(gt_plan, bw_problem).final_state
+    assert hmax(task, task.state_mask(final)) == hmax_oracle(task, final) == 0
+
+
+# Each of these has several optimal plans.  A* breaks f-ties by the number of
+# unsatisfied goal atoms, then by insertion order, which follows the
+# ground-action order; that picks the GT pinned here.  The Blocksworld cases
+# give (initial towers, goal towers), bottom to top.
+PINNED_GTS = {
+    "log-04": (None, "(load-truck p1 t1 l1)\n(drive-truck t1 l1 l2 c1)\n(load-truck p2 t1 l2)\n"
+                     "(drive-truck t1 l2 l3 c1)\n(unload-truck p1 t1 l3)\n(unload-truck p2 t1 l3)\n"),
+    "bw-swap-towers": (([["a", "b"], ["c", "d"]], [["b", "a"], ["d", "c"]]),
+                       "(unstack b a)\n(put-down b)\n(unstack d c)\n(put-down d)\n"
+                       "(pick-up a)\n(stack a b)\n(pick-up c)\n(stack c d)\n"),
+    "bw-rebuild": (([["a", "c"], ["d", "b"]], [["b", "a", "c"], ["d"]]),
+                   "(unstack b d)\n(put-down b)\n(unstack c a)\n(put-down c)\n"
+                   "(pick-up a)\n(stack a b)\n(pick-up c)\n(stack c a)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GTS))
+def test_tie_breaking_picks_the_pinned_gt(name, bw_domain, logistics_domain,
+                                          logistics_problems):
+    towers, expected = PINNED_GTS[name]
+    if towers is None:
+        problem, domain = logistics_problems[name], logistics_domain
+    else:
+        problem, domain = make_bw_problem(bw_domain, *towers), bw_domain
+    assert count_optimal_plans(problem, domain) > 1
+    plan = solve_optimal(problem, domain)
+    assert len(plan) == bfs_optimal_cost(problem, domain)
+    assert plan_to_text(plan) == expected
 
 
 def test_returned_plans_are_always_valid(bw_domain, logistics_domain, logistics_problems):

@@ -127,6 +127,17 @@ def test_find_best_variant_running_example(pi0_plan, gt_plan, bw_problem, bw_dom
     assert not score.valid
 
 
+def test_score_variant_defaults_to_the_config_provider(bw_domain, bw_problem, gt_plan):
+    config = PipelineConfig(similarity_provider="char_lcs")
+    plan = parse_plan("(pick-up a)\n(lift b)\n(stack b c)\n(unstack a a)\n",
+                      bw_domain, bw_problem)
+    identity = Transformation(0, tuple((o, o) for o in sorted(plan.objects())))
+    default = score_variant(plan, identity, gt_plan, bw_problem, len(plan), config)
+    explicit = score_variant(plan, identity, gt_plan, bw_problem, len(plan), config,
+                             sim=make_similarity_cache(config.provider()))
+    assert default.penalized == explicit.penalized == Fraction(59, 6)
+
+
 def test_identity_wins_for_perfect_plan(gt_plan, bw_problem, bw_domain):
     pi1, score = find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain)
     assert score.transformation.shift == 0

@@ -69,7 +69,8 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     """Defaults, optionally overridden by a ``key = value`` file.
 
     ``#`` starts a comment at the start of a line or after whitespace, so a
-    value may contain ``#``; blank lines are ignored; unknown keys are errors.
+    value may contain ``#``; blank lines are ignored; unknown keys and a
+    negative ``transform.c_shift`` or ``transform.c_map`` are errors.
     """
     config = PipelineConfig()
     if path is None:
@@ -94,4 +95,6 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             setattr(config, attr, converter(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"config line {line_no}: bad value for '{key}': {exc}") from exc
+        if attr in ("c_shift", "c_map") and getattr(config, attr) < 0:
+            raise ConfigError(f"config line {line_no}: '{key}' must be >= 0, got {value}")
     return config

@@ -22,23 +22,6 @@ class LcsResult:
     subsequence: tuple[IndexPair, ...]
 
 
-def lcs_length(plan_keys: tuple, gt_keys: tuple) -> int:
-    """Subsequence LCS length with the classic rolling-row optimisation."""
-    if len(plan_keys) < len(gt_keys):
-        plan_keys, gt_keys = gt_keys, plan_keys
-    width = len(gt_keys)
-    previous = [0] * (width + 1)
-    current = [0] * (width + 1)
-    for key in plan_keys:
-        for j in range(1, width + 1):
-            if key == gt_keys[j - 1]:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous, current = current, previous
-    return previous[width]
-
-
 def _longest_common_substring(plan_keys: tuple, gt_keys: tuple) -> tuple[IndexPair, ...]:
     n, m = len(plan_keys), len(gt_keys)
     best_len = 0

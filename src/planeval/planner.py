@@ -83,15 +83,6 @@ class _GroundTask:
         # (precondition, add) mask pairs: all the delete relaxation reads.
         self.relaxed = [(pre, add) for _, pre, add, _ in self.encoded]
 
-    def state_mask(self, state: State) -> int:
-        mask = 0
-        for atom in state:
-            if atom not in self.atom_index:
-                # Atoms outside the task universe can never matter to search.
-                continue
-            mask |= 1 << self.atom_index[atom]
-        return mask
-
 
 def hmax(task: _GroundTask, state: int) -> float:
     """Admissible delete-relaxation heuristic: max over goal atom levels.

@@ -1,4 +1,5 @@
-"""Plan score composition, plan potential and 0-1 normalisation.
+"""Plan score composition, plan potential, 0-1 normalisation and the score
+ceiling of transformed variants.
 
 Everything is exact rational arithmetic internally (so repeating decimals
 like 18.53... stay exact Fractions); values only become floats at report
@@ -7,13 +8,21 @@ time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import ZeroLengthGroundTruth
 from .lcs import LcsResult
-from .pddl import Plan
-from .similarity import PairingResult, QualityLabel
+from .pddl import GroundAction, Plan
+from .similarity import (
+    FLAT_MATCH_SCORE,
+    NameSimilarityProvider,
+    PairingResult,
+    QualityLabel,
+    action_similarity,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,13 +54,6 @@ class ScoreBreakdown:
     length_penalty: Fraction
     total: Fraction
     valid: bool
-
-    def audit(self) -> bool:
-        """Recompute the total from components; must hold exactly, always."""
-        return self.total == (
-            self.base + self.similarity_sum + self.pair_bonus
-            + self.substring_bonus + self.subsequence_bonus - self.length_penalty
-        )
 
 
 @dataclass(frozen=True)
@@ -117,3 +119,71 @@ def normalize_score(breakdown: ScoreBreakdown, plan: Plan, gt: Plan) -> Fraction
         return ZERO
     value = breakdown.total / (n * M_MAX)
     return value if value < ONE else ONE
+
+
+#: What one identical-action pair can earn: the flat pair score, the pair
+#: bonus, and a place in both the substring and the subsequence run.
+SHARED_ACTION_CEILING = (FLAT_MATCH_SCORE + PAIR_BONUS + SUBSTRING_BONUS_PER_ACTION
+                         + SUBSEQUENCE_BONUS_PER_ACTION)
+
+
+def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
+                  provider: NameSimilarityProvider
+                  ) -> Callable[[tuple[str, ...]], Fraction]:
+    """Upper bound on the raw total of any invalid variant of *plan*: a
+    permutation of its objects *objs* (sorted), then a circular shift.
+
+    The returned function takes the images of ``objs[:k]`` and bounds the
+    variants of every mapping that extends them, whatever the shift.  Of the
+    ``min(count_variant(k), count_gt(k))`` identical pairs per key ``k``,
+    each earns at most :data:`SHARED_ACTION_CEILING` (both LCS runs are no
+    longer than the number of such pairs).  Every other action earns at most
+    its best similarity to any ground-truth action, plus the pair bonus if
+    its name occurs in the ground truth.  A mapping changes neither names
+    nor arities, and since ``F + M`` never exceeds the smaller arity, that
+    best similarity is reached with identical arguments, so it is computed
+    once per (name, arity).  An action with an unassigned argument counts
+    the larger amount if a ground-truth action agrees with it.
+    """
+    base = len(plan) - length_penalty(len(plan), len(gt))
+    gt_counts = Counter(gt.keys())
+    gt_names = {action.name for action in gt}
+    gt_args: dict[tuple[str, int], list[tuple[str, ...]]] = {}
+    for action in gt:
+        gt_args.setdefault((action.name, len(action.args)), []).append(action.args)
+
+    def shaped(name: str, arity: int) -> GroundAction:
+        return GroundAction(name, tuple(f"?{i}" for i in range(arity)))
+
+    caps: dict[tuple[str, int], Fraction] = {}
+    for action in plan:
+        shape = (action.name, len(action.args))
+        if shape not in caps:
+            best_similarity = max(action_similarity(shaped(*shape), shaped(*gt_shape),
+                                                    provider)
+                                  for gt_shape in gt_args)
+            caps[shape] = best_similarity + (PAIR_BONUS if action.name in gt_names
+                                             else ZERO)
+
+    def ceiling(images: tuple[str, ...]) -> Fraction:
+        image = dict(zip(objs, images))
+        known: Counter = Counter()
+        rest: Counter = Counter()  # (may join a pair, shape) -> actions
+        for action in plan:
+            args = tuple(image.get(arg) for arg in action.args)
+            if None not in args:
+                known[action.name, args] += 1
+            else:
+                shape = (action.name, len(args))
+                rest[any(all(arg in (None, other) for arg, other in zip(args, target))
+                         for target in gt_args.get(shape, ())), shape] += 1
+        shared = 0
+        for key, count in known.items():
+            pairs = min(count, gt_counts[key])
+            shared += pairs
+            rest[False, (key[0], len(key[1]))] += count - pairs
+        return base + SHARED_ACTION_CEILING * shared + sum(
+            (max(SHARED_ACTION_CEILING, caps[shape]) if joins else caps[shape]) * count
+            for (joins, shape), count in rest.items())
+
+    return ceiling

@@ -3,48 +3,33 @@
 The variant search enumerates every (mapping, shift) combination while the
 plan's object count stays at or below ``prune_threshold``; above it, only
 mappings that make at least one action land exactly on its ground-truth
-counterpart under some shift are generated (plus the identity).  Mapping is
-applied first, then the shift.
+counterpart under some shift are generated (plus the identity), and that
+search is not exact.  Mapping is applied first, then the shift.
 
 The search is exact but scores few variants.  Variants are simulated
 instead: all have the plan's length, so all valid ones share one raw score
 and rank by penalty and tie-break alone, and any valid variant beats every
 invalid one.  An invalid variant is scored in full only when an upper bound
 on its score, which depends on the mapping alone, says it can still beat
-the best variant scored so far.
+the best variant scored so far.  Mappings are built depth first, and one
+whose completions all lose is skipped unremapped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .config import PipelineConfig
-from .errors import NonBijectiveMapping, SearchBudgetExceeded
+from .errors import ConfigError, NonBijectiveMapping, SearchBudgetExceeded
 from .lcs import lcs_analyze
 from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
-from .scoring import (
-    PAIR_BONUS,
-    SUBSEQUENCE_BONUS_PER_ACTION,
-    SUBSTRING_BONUS_PER_ACTION,
-    ScoreBreakdown,
-    length_penalty,
-    plan_score,
-)
-from .similarity import (
-    FLAT_MATCH_SCORE,
-    NameSimilarityProvider,
-    action_similarity,
-    make_similarity_cache,
-    pair_actions,
-)
+from .scoring import ScoreBreakdown, plan_score, score_ceiling
+from .similarity import NameSimilarityProvider, make_similarity_cache, pair_actions
 from .simulator import is_valid
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -63,9 +48,6 @@ class Transformation:
         if plan_length == 0 or self.shift == 0:
             return 0
         return min(self.shift, plan_length - self.shift)
-
-    def total_changes(self, plan_length: int) -> int:
-        return self.shift_magnitude(plan_length) + len(self.changed_objects)
 
 
 @dataclass(frozen=True)
@@ -134,9 +116,19 @@ def transformation_penalty(transformation: Transformation, plan_length: int,
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_mappings(objs: list[str]) -> Iterator[dict[str, str]]:
-    for perm in itertools.permutations(objs):
-        yield dict(zip(objs, perm))
+def _assignments(objs: list[str], skip: Callable[[tuple[str, ...]], bool]
+                 ) -> Iterator[tuple[str, ...]]:
+    """Permutations of the sorted *objs* in lexicographic order, depth first;
+    a prefix for which *skip* is true is passed over with its completions."""
+    stack: list[tuple[str, ...]] = [()]
+    while stack:
+        images = stack.pop()
+        if images and skip(images):
+            continue
+        if len(images) == len(objs):
+            yield images
+        else:
+            stack.extend(images + (obj,) for obj in reversed(objs) if obj not in images)
 
 
 def _aligned_partial_maps(plan: Plan, gt: Plan, objs: set[str],
@@ -208,58 +200,6 @@ def _pruned_mappings(plan: Plan, gt: Plan, objs: list[str],
 # Search
 # ---------------------------------------------------------------------------
 
-#: What one identical-action pair can earn: the flat pair score, the pair
-#: bonus, and a place in both the substring and the subsequence run.
-SHARED_ACTION_CEILING = (FLAT_MATCH_SCORE + PAIR_BONUS + SUBSTRING_BONUS_PER_ACTION
-                         + SUBSEQUENCE_BONUS_PER_ACTION)
-
-
-def _score_ceiling(plan: Plan, gt: Plan, provider: NameSimilarityProvider
-                   ) -> Callable[[Plan], Fraction]:
-    """Upper bound on the raw total of any invalid variant of *plan*.
-
-    The returned function takes a variant and depends only on its multiset
-    of actions, so one call covers every shift of a mapping.  Of the
-    ``min(count_variant(k), count_gt(k))`` identical pairs per action ``k``,
-    each earns at most :data:`SHARED_ACTION_CEILING` (both LCS runs are no
-    longer than the number of such pairs).  Every other action earns at most
-    its best similarity to any ground-truth action, plus the pair bonus if
-    its name occurs in the ground truth.  A mapping changes neither names
-    nor arities, and since ``F + M`` never exceeds the smaller arity, that
-    best similarity is reached with identical arguments, so it is computed
-    once per (name, arity).
-    """
-    base = len(plan) - length_penalty(len(plan), len(gt))
-    gt_counts = Counter(gt.keys())
-    gt_names = {action.name for action in gt}
-    gt_shapes = {(action.name, len(action.args)) for action in gt}
-
-    def shaped(name: str, arity: int) -> GroundAction:
-        return GroundAction(name, tuple(f"?{i}" for i in range(arity)))
-
-    caps: dict[tuple[str, int], Fraction] = {}
-    for action in plan:
-        shape = (action.name, len(action.args))
-        if shape not in caps:
-            best_similarity = max(action_similarity(shaped(*shape), shaped(*gt_shape),
-                                                    provider)
-                                  for gt_shape in gt_shapes)
-            caps[shape] = best_similarity + (PAIR_BONUS if action.name in gt_names
-                                             else ZERO)
-
-    def ceiling(variant: Plan) -> Fraction:
-        shared = 0
-        rest = ZERO
-        for key, count in Counter(variant.keys()).items():
-            pairs = min(count, gt_counts[key])
-            shared += pairs
-            if count > pairs:
-                rest += (count - pairs) * caps[key[0], len(key[1])]
-        return base + SHARED_ACTION_CEILING * shared + rest
-
-    return ceiling
-
-
 def score_variant(variant: Plan, transformation: Transformation, gt: Plan,
                   problem: ProblemModel, plan_length: int,
                   config: PipelineConfig, sim=None) -> VariantScore:
@@ -294,33 +234,41 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     scored so far, ties decided by the tie-break.  Only the valid winner, if
     any, is scored.
 
+    Up to ``prune_threshold`` objects, a partial mapping is skipped with its
+    completions, each of which moves at least ``low`` objects, when (a) a
+    valid variant is known and ``(c_map * low, low)`` exceeds its (penalty,
+    changes), or (b) an unknown name, arity or object, or an assigned action
+    that does not resolve, leaves no completion valid, and the ceiling minus
+    ``c_map * low`` is below the best score.
+
     Raises :class:`SearchBudgetExceeded`, carrying the exact winner among
     the variants enumerated so far, when variants remain after
     ``config.budget`` have been enumerated; the identity, enumerated first,
-    always is.
+    always is, and a skipped variant counts as enumerated.  Raises
+    :class:`ConfigError` when ``c_shift`` or ``c_map`` is negative.
     """
     if config is None:
         config = PipelineConfig()
+    if config.c_shift < 0 or config.c_map < 0:
+        raise ConfigError(f"transform costs must be >= 0, got c_shift={config.c_shift} "
+                          f"and c_map={config.c_map}")
     if provider is None:
         provider = config.provider()
     objs = sorted(plan.objects())
     length = len(plan)
     shifts = list(range(length)) if length else [0]
     sim = make_similarity_cache(provider)
-    ceiling_of = _score_ceiling(plan, gt, provider)
+    ceiling_of = score_ceiling(plan, gt, objs, provider)
     # Exact penalties, indexed by the number of moved objects, then the shift.
     magnitudes = [min(shift, length - shift) for shift in shifts]
     penalties = [[config.c_shift * magnitude + config.c_map * moved
                   for magnitude in magnitudes] for moved in range(len(objs) + 1)]
-
-    if len(objs) <= config.prune_threshold:
-        mappings: Iterable[dict[str, str]] = _exhaustive_mappings(objs)
-        projected = math.factorial(len(objs)) * len(shifts)
-    else:
-        mappings = _pruned_mappings(plan, gt, objs, shifts)
-        projected = None  # lazily generated; bounded by the budget check
-
     resolved: dict[tuple, GroundAction] = {}
+    # An unknown name, arity or object leaves every variant unresolvable.
+    declared = set(objs) <= problem.objects.keys() and all(
+        (schema := domain.schema(action.name)) is not None
+        and schema.arity == len(action.args) for action in plan)
+
     best: VariantScore | None = None  # best scored invalid variant
     best_rank: tuple = ()  # (changes, shift, mapping) of best
     valid: tuple | None = None  # ((penalty, changes, shift, mapping), plan)
@@ -332,10 +280,53 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         return score_variant(variant, Transformation(shift, pairs), gt, problem,
                              length, config, sim=sim)
 
+    def exceeded() -> SearchBudgetExceeded:
+        found = winner()
+        return SearchBudgetExceeded(
+            f"variant search exceeded budget {config.budget} "
+            f"({projected or 'unknown'} candidates)", best=(found.plan, found))
+
+    def resolves(images: tuple[str, ...]) -> bool:
+        image = dict(zip(objs, images))
+        for action in plan:
+            key = (action.name, tuple(image.get(arg) for arg in action.args))
+            if None not in key[1]:
+                if key not in resolved:
+                    resolved[key] = resolve_action(*key, domain, problem)
+                if not resolved[key].resolvable:
+                    return False
+        return True
+
+    def skip(images: tuple[str, ...]) -> bool:
+        nonlocal enumerated
+        depth = len(images)
+        # Every completion moves the assigned objects that moved and the
+        # unassigned ones whose own name is already taken as an image.
+        low = (sum(src != dst for src, dst in zip(objs, images))
+               + len(set(images).intersection(objs[depth:])))
+        floor = config.c_map * low
+        if not ((valid is not None and (floor, low) > valid[0][:2])
+                or (best is not None and not (declared and resolves(images))
+                    and ceiling_of(images) - floor < best.penalized)):
+            return False
+        skipped = math.factorial(len(objs) - depth) * len(shifts)
+        if enumerated + skipped > config.budget:
+            raise exceeded()
+        enumerated += skipped
+        return True
+
+    if len(objs) <= config.prune_threshold:
+        assignments = _assignments(objs, skip)
+        projected = math.factorial(len(objs)) * len(shifts)
+    else:
+        assignments = (tuple(mapping[obj] for obj in objs)
+                       for mapping in _pruned_mappings(plan, gt, objs, shifts))
+        projected = None  # lazily generated; bounded by the budget check
+
     enumerated = 0
-    for mapping in mappings:
-        mapped = remap_params(plan, mapping, domain, problem, resolved)
-        pairs = tuple(sorted(mapping.items()))
+    for images in assignments:
+        mapped = remap_params(plan, dict(zip(objs, images)), domain, problem, resolved)
+        pairs = tuple(zip(objs, images))
         moved = sum(src != dst for src, dst in pairs)
         costs = penalties[moved]
         # An unresolvable action never executes, so no shift can be valid.
@@ -344,12 +335,7 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         limit = None
         for shift in shifts:
             if enumerated and enumerated >= config.budget:
-                found = winner()
-                raise SearchBudgetExceeded(
-                    f"variant search exceeded budget {config.budget} "
-                    f"({projected or 'unknown'} candidates)",
-                    best=(found.plan, found),
-                )
+                raise exceeded()
             enumerated += 1
             penalty = costs[shift]
             rank = (magnitudes[shift] + moved, shift, pairs)
@@ -364,7 +350,7 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                 continue
             if best is not None:
                 if limit is None:
-                    limit = (ceiling_of(mapped) - best.penalized, *best_rank)
+                    limit = (ceiling_of(images) - best.penalized, *best_rank)
                 if (penalty, *rank) > limit:
                     continue
             candidate = score_variant(circular_shift(mapped, shift),

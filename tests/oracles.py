@@ -143,6 +143,23 @@ def brute_force_substring_length(a: tuple, b: tuple) -> int:
     return best
 
 
+def lcs_length(plan_keys: tuple, gt_keys: tuple) -> int:
+    """Subsequence LCS length by the classic rolling-row dynamic program."""
+    if len(plan_keys) < len(gt_keys):
+        plan_keys, gt_keys = gt_keys, plan_keys
+    width = len(gt_keys)
+    previous = [0] * (width + 1)
+    current = [0] * (width + 1)
+    for key in plan_keys:
+        for j in range(1, width + 1):
+            if key == gt_keys[j - 1]:
+                current[j] = previous[j - 1] + 1
+            else:
+                current[j] = max(previous[j], current[j - 1])
+        previous, current = current, previous
+    return previous[width]
+
+
 def _is_subsequence(piece: tuple, seq: tuple) -> bool:
     it = iter(seq)
     return all(any(x == y for y in it) for x in piece)
@@ -173,6 +190,11 @@ def brute_force_param_counts(p: list[str], q: list[str]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Variant-ranking oracle
 # ---------------------------------------------------------------------------
+
+
+def total_changes(transformation, plan_length: int) -> int:
+    """The circular shift distance plus the number of moved objects."""
+    return transformation.shift_magnitude(plan_length) + len(transformation.changed_objects)
 
 
 def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
@@ -212,7 +234,7 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
         return (
             not vs.valid,
             -vs.penalized,
-            vs.transformation.total_changes(len(plan)),
+            total_changes(vs.transformation, len(plan)),
             vs.transformation.shift,
             vs.transformation.mapping,
         )

@@ -3,10 +3,14 @@ from __future__ import annotations
 import random
 
 from planeval import best_subplan, is_valid, lcs_analyze
-from planeval.lcs import extract, lcs_length
+from planeval.lcs import extract
 from planeval.pddl import GroundAction, Plan
 
-from oracles import brute_force_substring_length, brute_force_subsequence_length
+from oracles import (
+    brute_force_subsequence_length,
+    brute_force_substring_length,
+    lcs_length,
+)
 
 
 def act(name, *args):

@@ -365,6 +365,32 @@ def test_config_unknown_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["transform.c_shift", "transform.c_map"])
+def test_config_rejects_negative_costs(tmp_path, key):
+    # A negative cost would turn the transformation penalty into a reward.
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"transform.budget = 7\n{key} = -1/2\n")
+    with pytest.raises(ConfigError, match=f"config line 2: '{key}' must be >= 0"):
+        load_config(path)
+    path.write_text(f"{key} = 0\n")
+    assert getattr(load_config(path), key.removeprefix("transform.")) == 0
+
+
+@pytest.mark.parametrize("costs", [{"c_shift": Fraction(-1)}, {"c_map": Fraction(-1, 2)}],
+                         ids=["c_shift", "c_map"])
+def test_negative_cost_in_code_is_a_transform_error_record(tmp_path, bw_domain, bw_problem,
+                                                           costs):
+    config = PipelineConfig(**costs)
+    with pytest.raises(InstanceError) as excinfo:
+        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                          gt_plan_text=INSTANCE_10_GT, config=config)
+    assert excinfo.value.stage == "transform"
+    assert isinstance(excinfo.value.cause, ConfigError)
+    result = evaluate_batch(two_instance_manifest(tmp_path), config=config)
+    assert result.failed_rows == ["good", "missing"]
+    assert all(r["error"]["stage"] == "transform" for r in result.records)
+
+
 def test_config_synonyms_provider(tmp_path):
     synonyms = tmp_path / "syn.txt"
     synonyms.write_text("pick-up lift 0.9\n")

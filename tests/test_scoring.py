@@ -18,6 +18,14 @@ from planeval.pddl import Plan
 from planeval.scoring import M_MAX
 
 
+def audit(breakdown) -> bool:
+    """Recompute the total from the components; must hold exactly, always."""
+    return breakdown.total == (
+        breakdown.base + breakdown.similarity_sum + breakdown.pair_bonus
+        + breakdown.substring_bonus + breakdown.subsequence_bonus - breakdown.length_penalty
+    )
+
+
 def breakdown_for(plan, gt, problem):
     pairing, _ = pair_actions(plan, gt)
     return plan_score(plan, gt, pairing, lcs_analyze(plan, gt), is_valid(plan, problem))
@@ -57,7 +65,7 @@ def test_plan_score_running_example(pi0_plan, gt_plan, bw_problem):
             + breakdown.substring_bonus + breakdown.subsequence_bonus) == Fraction(96, 5)
     assert breakdown.length_penalty == Fraction(2, 3)
     assert breakdown.total == Fraction(278, 15)
-    assert breakdown.audit()
+    assert audit(breakdown)
 
 
 def test_plan_score_valid_optimal(gt_plan, bw_problem):
@@ -154,4 +162,4 @@ def test_score_monotonicity_in_paired_actions(pi0_plan, gt_plan, bw_problem):
 def test_breakdown_audit_is_exact(pi0_plan, gt_plan, bw_problem):
     breakdown = breakdown_for(pi0_plan, gt_plan, bw_problem)
     assert isinstance(breakdown.total, Fraction)
-    assert breakdown.audit()
+    assert audit(breakdown)

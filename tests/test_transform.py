@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,21 +14,21 @@ from planeval import (
     circular_shift,
     find_best_variant,
     is_valid,
+    parse_domain,
     parse_plan,
+    parse_problem,
     remap_params,
+    solve_optimal,
+    transform,
 )
 from planeval.errors import NonBijectiveMapping, SearchBudgetExceeded
-from planeval.pddl import GroundAction, Plan, ProblemModel
+from planeval.pddl import GroundAction, Plan, ProblemModel, plan_to_text
 from planeval.similarity import SynonymTable, make_similarity_cache
-from planeval.transform import (
-    Transformation,
-    _score_ceiling,
-    score_variant,
-    transformation_penalty,
-)
+from planeval.scoring import score_ceiling
+from planeval.transform import Transformation, score_variant, transformation_penalty
 
 from conftest import make_bw_problem
-from oracles import rank_variants_oracle
+from oracles import rank_variants_oracle, total_changes
 
 PI1_TEXT = ("(unstack b c)\n(put-down b)\n(pick-up c)\n(stack c b)\n"
             "(unstack c b)\n(put-down c)\n(pick-up a)\n(stack a c)\n")
@@ -141,7 +143,7 @@ def test_score_variant_defaults_to_the_config_provider(bw_domain, bw_problem, gt
 def test_identity_wins_for_perfect_plan(gt_plan, bw_problem, bw_domain):
     pi1, score = find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain)
     assert score.transformation.shift == 0
-    assert score.transformation.total_changes(len(gt_plan)) == 0
+    assert total_changes(score.transformation, len(gt_plan)) == 0
     assert pi1.keys() == gt_plan.keys()
     assert score.valid
     assert score.penalty == 0
@@ -221,6 +223,209 @@ def test_search_matches_oracle_under_every_provider_and_cost(
         assert best_plan.keys() == oracle.plan.keys()
 
 
+def _skip_cases(bw_domain, bw_problem, gt_plan, logistics_domain, log_problem, rng):
+    """(plan, gt, problem, domain) with at most 5 objects on which the search
+    skips partial mappings: a hallucinated name or an undeclared object (no
+    variant can be valid), a Logistics mapping that gives a truck's place to
+    a package (no completion resolves) and a remapped ground truth whose
+    valid variant is found late."""
+    objects = ["a", "b", "c"]
+
+    def perturbed(gt, domain, problem, objs):
+        mapping = dict(zip(objs, rng.sample(objs, len(objs))))
+        return circular_shift(remap_params(gt, mapping, domain, problem),
+                              rng.randrange(len(gt))).actions
+
+    for extra in ([act("lift", "b")], [act("teleport", "x9", "y9")],
+                  [act("pick-up", "z")], [act("teleport", "a", "c"), act("warp", "z9")]):
+        actions = list(perturbed(gt_plan, bw_domain, bw_problem, objects))[:rng.randint(2, 4)]
+        for action in extra:
+            actions.insert(rng.randrange(len(actions) + 1), action)
+        yield Plan(tuple(actions)), gt_plan, bw_problem, bw_domain
+    late = remap_params(gt_plan, {"a": "c", "c": "a"}, bw_domain, bw_problem)
+    yield circular_shift(late, rng.randrange(len(gt_plan))), gt_plan, bw_problem, bw_domain
+    log_gt = solve_optimal(log_problem, logistics_domain)
+    log_objs = sorted(log_gt.objects())
+    for _ in range(4):
+        actions = list(perturbed(log_gt, logistics_domain, log_problem, log_objs))
+        if rng.random() < 0.5:
+            actions.append(actions[rng.randrange(len(actions))])
+        yield Plan(tuple(actions)), log_gt, log_problem, logistics_domain
+
+
+def _count_remaps(monkeypatch) -> list[int]:
+    count = [0]
+    remap = transform.remap_params
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return remap(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "remap_params", counting)
+    return count
+
+
+def _skipped_subtrees(monkeypatch) -> list[tuple[str, ...]]:
+    """Record the partial mappings the search skips."""
+    skipped = []
+    assignments = transform._assignments
+
+    def recording(objs, skip):
+        def recorded(images):
+            if skip(images):
+                skipped.append(images)
+                return True
+            return False
+        return assignments(objs, recorded)
+
+    monkeypatch.setattr(transform, "_assignments", recording)
+    return skipped
+
+
+@pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0), (Fraction(1, 2), 2)],
+                         ids=["1-1", "0-0", "half-2"])
+@pytest.mark.parametrize("provider_name", ["exact", "char_lcs", "synonyms"])
+def test_skipped_mappings_match_oracle(monkeypatch, bw_domain, bw_problem, gt_plan,
+                                       logistics_domain, logistics_problems,
+                                       provider_name, c_shift, c_map):
+    config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map),
+                            similarity_provider=("char_lcs" if provider_name == "char_lcs"
+                                                 else "exact"))
+    provider = SYNONYMS if provider_name == "synonyms" else config.provider()
+    cases = list(_skip_cases(bw_domain, bw_problem, gt_plan, logistics_domain,
+                             logistics_problems["log-01"], random.Random(13)))
+    remaps = _count_remaps(monkeypatch)
+    mappings = 0
+    for plan, gt, problem, domain in cases:
+        mappings += math.factorial(len(plan.objects()))
+        best_plan, best = find_best_variant(plan, gt, problem, domain, config,
+                                            provider=provider)
+        oracle = rank_variants_oracle(plan, gt, problem, domain, config, provider=provider)
+        assert best.transformation == oracle.transformation
+        assert best.penalized == oracle.penalized
+        assert best.valid == oracle.valid
+        assert best_plan.keys() == oracle.plan.keys()
+    # The oracle remaps each of its mappings once; the search skips some.
+    assert remaps[0] - mappings < mappings
+
+
+@pytest.mark.parametrize("which", ["hallucinated", "truck-package"])
+def test_budget_inside_a_skipped_subtree_keeps_the_prefix_winner(
+        monkeypatch, bw_domain, bw_problem, gt_plan, logistics_domain, logistics_problems,
+        which):
+    if which == "hallucinated":
+        actions = list(circular_shift(gt_plan, 1).actions[:3])
+        actions.insert(1, act("teleport", "x9", "y9"))
+        plan, gt, problem, domain = Plan(tuple(actions)), gt_plan, bw_problem, bw_domain
+    else:
+        problem, domain = logistics_problems["log-01"], logistics_domain
+        gt = solve_optimal(problem, domain)
+        plan = remap_params(gt, {"l1": "l2", "l2": "l1"}, domain, problem)
+    config = PipelineConfig()
+    skipped = _skipped_subtrees(monkeypatch)
+    find_best_variant(plan, gt, problem, domain, config)
+    objs = sorted(plan.objects())
+    order = list(itertools.permutations(objs))
+    budgets = set()
+    for images in skipped:
+        first = images + tuple(obj for obj in objs if obj not in images)
+        start = order.index(first) * len(plan)
+        size = math.factorial(len(objs) - len(images)) * len(plan)
+        budgets |= {start, start + 1, start + size // 2, start + size - 1}
+    assert len(skipped) >= 2 and len(budgets) >= 6
+    # The last subtree is skipped, and a budget of every variant is not exceeded.
+    total = math.factorial(len(objs)) * len(plan)
+    assert max(budgets) == total - 1
+    find_best_variant(plan, gt, problem, domain, PipelineConfig(budget=total))
+    # Spread over the skipped subtrees, the last one included.
+    picked = sorted(budgets)[::len(budgets) // 8 or 1] + [max(budgets)]
+    for budget in picked:
+        config = PipelineConfig(budget=budget)
+        with pytest.raises(SearchBudgetExceeded) as excinfo:
+            find_best_variant(plan, gt, problem, domain, config)
+        best_plan, best = excinfo.value.best
+        oracle = rank_variants_oracle(plan, gt, problem, domain, config, limit=budget)
+        assert best.transformation == oracle.transformation
+        assert best.penalized == oracle.penalized
+        assert best.valid == oracle.valid
+        assert best_plan.keys() == oracle.plan.keys()
+
+
+TOUR_DOMAIN = """(define (domain tour) (:requirements :strips)
+  (:predicates (at ?x))
+  (:action move :parameters (?from ?to)
+   :precondition (at ?from) :effect (and (at ?to) (not (at ?from)))))"""
+TOUR_PROBLEM = """(define (problem tour-4) (:domain tour) (:objects l1 l2 l3 l4)
+  (:init (at l1)) (:goal (at l1)))"""
+
+
+@pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0)], ids=["1-1", "0-0"])
+def test_valid_variant_at_shift_zero_beats_an_earlier_shifted_one(c_shift, c_map):
+    # The tour l1 -> l2 -> l3 -> l4 -> l1, rotated by two, is valid again
+    # under the identity at shift 2 and under the l1/l3 swap at shift 0 (the
+    # reversed tour).  Both cost two changes; the swap, enumerated later and
+    # moving as many objects as the first valid variant changes, wins on the
+    # shift, so its subtree must not be skipped.
+    domain = parse_domain(TOUR_DOMAIN)
+    problem = parse_problem(TOUR_PROBLEM, domain)
+    tour = parse_plan("(move l1 l2)\n(move l2 l3)\n(move l3 l4)\n(move l4 l1)\n",
+                      domain, problem)
+    plan = circular_shift(tour, 2)
+    config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map))
+    _, best = find_best_variant(plan, tour, problem, domain, config)
+    oracle = rank_variants_oracle(plan, tour, problem, domain, config)
+    assert best.valid
+    assert best.transformation == oracle.transformation
+    assert best.transformation == Transformation(
+        0, (("l1", "l3"), ("l2", "l2"), ("l3", "l1"), ("l4", "l4")))
+
+
+def _hallucinated(gt, domain, problem):
+    """The batch's hallucinated candidate: two unknown actions, three new objects."""
+    lines = plan_to_text(gt).splitlines()
+    lines.insert(1, "(teleport x9 y9)")
+    lines.append("(warp z9)")
+    return parse_plan("\n".join(lines) + "\n", domain, problem)
+
+
+def test_hallucinated_six_object_plan_remaps_few_mappings(monkeypatch, bw_domain,
+                                                          bw_problem):
+    gt = solve_optimal(bw_problem, bw_domain)
+    plan = _hallucinated(gt, bw_domain, bw_problem)
+    assert len(plan.objects()) == 6
+    remaps = _count_remaps(monkeypatch)
+    best_plan, best = find_best_variant(plan, gt, bw_problem, bw_domain)
+    assert remaps[0] <= 10  # of 720 mappings
+    oracle = rank_variants_oracle(plan, gt, bw_problem, bw_domain, PipelineConfig())
+    assert best.transformation == oracle.transformation
+    assert best.penalized == oracle.penalized
+    assert best_plan.keys() == oracle.plan.keys()
+
+
+def test_search_leaves_no_cyclic_garbage(bw_domain, bw_problem, logistics_domain,
+                                         logistics_problems):
+    # Reference cycles would wait for the collector and raise peak memory.
+    gt = solve_optimal(bw_problem, bw_domain)
+    five = make_bw_problem(bw_domain, [["a"], ["b"], ["c"], ["d"], ["e"]],
+                           [["a", "b", "c", "d", "e"]])
+    five_gt = solve_optimal(five, bw_domain)
+    log = logistics_problems["log-04"]
+    log_gt = solve_optimal(log, logistics_domain)
+    swapped = remap_params(log_gt, {"p1": "p2", "p2": "p1"}, logistics_domain, log)
+    assert len(swapped.objects()) > PipelineConfig().prune_threshold
+    searches = [(_hallucinated(gt, bw_domain, bw_problem), gt, bw_problem, bw_domain),
+                (five_gt[:-2], five_gt, five, bw_domain),
+                (swapped, log_gt, log, logistics_domain)]
+    gc.collect()
+    gc.disable()
+    try:
+        for plan, target, problem, domain in searches:
+            find_best_variant(plan, target, problem, domain)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("provider, max_length", [
     (PipelineConfig().provider(), 4),
     (PipelineConfig(similarity_provider="char_lcs").provider(), 3),
@@ -237,9 +442,12 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
     sim = make_similarity_cache(provider)
     checked = 0
     for plan in plans:
-        ceiling = _score_ceiling(plan, gt_plan, provider)
         objs = sorted(plan.objects())
+        ceiling = score_ceiling(plan, gt_plan, objs, provider)
         for perm in itertools.permutations(objs):
+            bound = ceiling(perm)
+            # A partial mapping bounds each of its completions.
+            assert all(ceiling(perm[:k]) >= bound for k in range(len(perm)))
             mapping = dict(zip(objs, perm))
             mapped = remap_params(plan, mapping, bw_domain, bw_problem)
             for shift in range(max(len(plan), 1)):
@@ -248,7 +456,7 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
                                       gt_plan, bw_problem, len(plan), config,
                                       sim=sim)
                 if not score.valid:
-                    assert ceiling(variant) - score.penalty >= score.penalized
+                    assert bound - score.penalty >= score.penalized
                     checked += 1
     assert checked > 2000
 

@@ -1,6 +1,11 @@
 """Batch driver: run the full evaluation/recovery pipeline over instances,
 emit per-instance JSONL records and aggregate them into a metrics CSV.
 
+Within one process, batch rows parse each distinct domain and problem text
+once, and instances with the same serialised domain and problem share one
+solved ground truth.  Both caches hold at most 256 entries, evict the
+oldest first and never keep a failure.
+
 A missing or empty candidate plan is evaluated as the empty plan (the
 defaulted record), so group means always cover every instance.  Aggregation
 works on the serialized record dicts, which makes re-aggregating a JSONL
@@ -112,6 +117,13 @@ _GT_CACHE: dict[tuple[str, str, str | None], Plan] = {}
 _GT_CACHE_SIZE = 256
 
 
+def _cache_put(cache: dict, key, value, size: int) -> None:
+    """Store *value*, first evicting the oldest entry if *cache* holds *size*."""
+    if len(cache) >= size:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                       plan_text: str | None, gt_plan_text: str | None = None,
                       config: PipelineConfig | None = None,
@@ -153,9 +165,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
             gt_plan = stage("solve-gt", solve_optimal, problem, domain,
                             timeout=config.planner_timeout,
                             external_cmd=config.external_planner, label="pi_gt")
-            if len(_GT_CACHE) >= _GT_CACHE_SIZE:
-                del _GT_CACHE[next(iter(_GT_CACHE))]
-            _GT_CACHE[cache_key] = gt_plan
+            _cache_put(_GT_CACHE, cache_key, gt_plan, _GT_CACHE_SIZE)
     # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
     sim_gt = simulate(gt_plan, problem)
     if not sim_gt.valid:
@@ -311,14 +321,28 @@ def _read(path: Path) -> str:
         raise InstanceError("load", PlanEvalError(f"{path} is not UTF-8: {exc}")) from exc
 
 
+# Per-process cache of parsed (domain, problem) models, keyed on the two file
+# texts; oldest entry evicted first.  The models are frozen and no stage
+# writes to them, so one pair serves every row that reads the same texts, and
+# one domain model every cached problem of that domain text.
+_PARSE_CACHE: dict[tuple[str, str], tuple[DomainModel, ProblemModel]] = {}
+_PARSE_CACHE_SIZE = 256
+
+
 def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
-    domain_text = _read(row.domain_path)
-    problem_text = _read(row.problem_path)
-    try:
-        domain = parse_domain(domain_text)
-        problem = parse_problem(problem_text, domain)
-    except PlanEvalError as exc:
-        raise InstanceError("load", exc) from exc
+    texts = (_read(row.domain_path), _read(row.problem_path))
+    models = _PARSE_CACHE.get(texts)
+    if models is None:
+        domain = next((cached[0] for key, cached in _PARSE_CACHE.items()
+                       if key[0] == texts[0]), None)
+        try:
+            if domain is None:
+                domain = parse_domain(texts[0])
+            models = (domain, parse_problem(texts[1], domain))
+        except PlanEvalError as exc:
+            raise InstanceError("load", exc) from exc
+        _cache_put(_PARSE_CACHE, texts, models, _PARSE_CACHE_SIZE)
+    domain, problem = models
 
     plan_text: str | None = None
     if row.plan_path is not None and row.plan_path.is_file():

@@ -142,8 +142,9 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
     its name occurs in the ground truth.  A mapping changes neither names
     nor arities, and since ``F + M`` never exceeds the smaller arity, that
     best similarity is reached with identical arguments, so it is computed
-    once per (name, arity).  An action with an unassigned argument counts
-    the larger amount if a ground-truth action agrees with it.
+    once per (name, arity), when the bound first needs it.  An action with
+    an unassigned argument counts the larger amount if a ground-truth action
+    agrees with it.
     """
     base = len(plan) - length_penalty(len(plan), len(gt))
     gt_counts = Counter(gt.keys())
@@ -156,14 +157,15 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
         return GroundAction(name, tuple(f"?{i}" for i in range(arity)))
 
     caps: dict[tuple[str, int], Fraction] = {}
-    for action in plan:
-        shape = (action.name, len(action.args))
+
+    def cap(shape: tuple[str, int]) -> Fraction:
         if shape not in caps:
             best_similarity = max(action_similarity(shaped(*shape), shaped(*gt_shape),
                                                     provider)
                                   for gt_shape in gt_args)
-            caps[shape] = best_similarity + (PAIR_BONUS if action.name in gt_names
+            caps[shape] = best_similarity + (PAIR_BONUS if shape[0] in gt_names
                                              else ZERO)
+        return caps[shape]
 
     def ceiling(images: tuple[str, ...]) -> Fraction:
         image = dict(zip(objs, images))
@@ -183,7 +185,7 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
             shared += pairs
             rest[False, (key[0], len(key[1]))] += count - pairs
         return base + SHARED_ACTION_CEILING * shared + sum(
-            (max(SHARED_ACTION_CEILING, caps[shape]) if joins else caps[shape]) * count
+            (max(SHARED_ACTION_CEILING, cap(shape)) if joins else cap(shape)) * count
             for (joins, shape), count in rest.items())
 
     return ceiling

@@ -259,10 +259,10 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     shifts = list(range(length)) if length else [0]
     sim = make_similarity_cache(provider)
     ceiling_of = score_ceiling(plan, gt, objs, provider)
-    # Exact penalties, indexed by the number of moved objects, then the shift.
+    # Exact penalties, indexed by the number of moved objects, then the shift;
+    # a row is built when a mapping first moves that many objects.
     magnitudes = [min(shift, length - shift) for shift in shifts]
-    penalties = [[config.c_shift * magnitude + config.c_map * moved
-                  for magnitude in magnitudes] for moved in range(len(objs) + 1)]
+    penalties: dict[int, list[Fraction]] = {}
     resolved: dict[tuple, GroundAction] = {}
     # An unknown name, arity or object leaves every variant unresolvable.
     declared = set(objs) <= problem.objects.keys() and all(
@@ -328,7 +328,10 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         mapped = remap_params(plan, dict(zip(objs, images)), domain, problem, resolved)
         pairs = tuple(zip(objs, images))
         moved = sum(src != dst for src, dst in pairs)
-        costs = penalties[moved]
+        costs = penalties.get(moved)
+        if costs is None:
+            costs = penalties[moved] = [config.c_shift * magnitude + config.c_map * moved
+                                        for magnitude in magnitudes]
         # An unresolvable action never executes, so no shift can be valid.
         executable = all(action.resolvable for action in mapped)
         # An invalid variant can win only if (penalty, rank) stays below this.

@@ -10,7 +10,7 @@ import pytest
 from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
 from planeval.errors import ConfigError, InstanceError, ManifestError
-from planeval.pddl import problem_to_pddl
+from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
@@ -230,6 +230,19 @@ def test_batch_survives_undecodable_plan(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def counted(monkeypatch, name: str) -> list[tuple]:
+    """Replace ``pipeline.<name>`` by a wrapper that records its arguments."""
+    calls: list[tuple] = []
+    original = getattr(pipeline, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
 def solved_gt_manifest(tmp_path: Path) -> tuple[Path, Path]:
     """A one-row manifest without a GT file, over a copy of instance-10."""
     problem = tmp_path / "problem.pddl"
@@ -249,6 +262,9 @@ def test_gt_cache_sees_rewritten_problem(tmp_path):
     problem.write_text(problem.read_text().replace(
         "(:goal (and (on a c) (on c b)))", "(:goal (on c b))"))
     assert evaluate_batch(manifest).records[0]["gt_length"] == 4
+    # The parse cache keys on the file texts, so the edited file was parsed.
+    _, model = pipeline._PARSE_CACHE[BW_DOMAIN_PATH.read_text(), problem.read_text()]
+    assert model.goal == {("on", "c", "b")}
 
 
 def test_gt_cache_keys_on_external_planner(tmp_path):
@@ -268,14 +284,7 @@ def test_gt_cache_keys_on_external_planner(tmp_path):
 
 def test_gt_cache_is_shared_by_evaluate_instance(monkeypatch, bw_domain, bw_problem):
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
-    calls = []
-    solve = pipeline.solve_optimal
-
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "solve_optimal", counting_solve)
+    calls = counted(monkeypatch, "solve_optimal")
     first = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
     second = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
     assert first == second
@@ -291,6 +300,126 @@ def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
         evaluate_instance(bw_domain, problem, None)
     cached = [key[1] for key in pipeline._GT_CACHE]
     assert cached == [problem_to_pddl(p, bw_domain) for p in problems[1:]]
+
+
+# ---------------------------------------------------------------------------
+# Parse cache
+# ---------------------------------------------------------------------------
+
+LOG_DOMAIN_PATH = FIXTURES / "logistics" / "domain.pddl"
+LOG_PROBLEM_PATH = FIXTURES / "logistics" / "log-01.pddl"
+BROKEN_PDDL = "(define (domain broken)"
+
+
+def manifest_row(instance_id: str, domain_path, problem_path, plan_path: str = "",
+                 gt_plan_path: str = "") -> dict:
+    return {"instance_id": instance_id, "domain_path": str(domain_path),
+            "problem_path": str(problem_path), "plan_path": plan_path,
+            "gt_plan_path": gt_plan_path, "model": "m", "prompt_type": "p"}
+
+
+def shared_files_manifest(tmp_path: Path) -> Path:
+    """Rows that share domain and problem files: Blocksworld candidates with
+    solved and file GTs, missing plans, a Logistics plan that needs a shift,
+    and a row whose domain does not parse."""
+    (tmp_path / "candidate.plan").write_text(INSTANCE_10_CANDIDATE)
+    (tmp_path / "gt.plan").write_text(INSTANCE_10_GT)
+    (tmp_path / "log.plan").write_text(
+        "(drive-truck t1 l1 l2 c1)\n(load-truck p1 t1 l1)\n(unload-truck p1 t1 l2)\n")
+    (tmp_path / "broken.pddl").write_text(BROKEN_PDDL)
+    return write_manifest(tmp_path, [
+        manifest_row("bw-candidate", BW_DOMAIN_PATH, BW_PROBLEM_PATH, "candidate.plan"),
+        manifest_row("bw-gt-file", BW_DOMAIN_PATH, BW_PROBLEM_PATH, "candidate.plan",
+                     "gt.plan"),
+        manifest_row("bw-valid", BW_DOMAIN_PATH, BW_PROBLEM_PATH, "gt.plan"),
+        manifest_row("bw-missing", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
+        manifest_row("log-shifted", LOG_DOMAIN_PATH, LOG_PROBLEM_PATH, "log.plan"),
+        manifest_row("log-missing", LOG_DOMAIN_PATH, LOG_PROBLEM_PATH),
+        manifest_row("broken", "broken.pddl", BW_PROBLEM_PATH, "candidate.plan"),
+    ])
+
+
+def test_batch_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
+    domains = counted(monkeypatch, "parse_domain")
+    problems = counted(monkeypatch, "parse_problem")
+    bw_text = BW_PROBLEM_PATH.read_text()
+    other_text = bw_text.replace("(:goal (and (on a c) (on c b)))", "(:goal (on c b))")
+    (tmp_path / "copy.pddl").write_text(bw_text)  # same text at another path
+    (tmp_path / "other.pddl").write_text(other_text)
+    manifest = write_manifest(tmp_path, [
+        manifest_row("a", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
+        manifest_row("b", LOG_DOMAIN_PATH, LOG_PROBLEM_PATH),
+        manifest_row("c", BW_DOMAIN_PATH, "copy.pddl"),
+        manifest_row("d", BW_DOMAIN_PATH, "other.pddl"),
+        manifest_row("e", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
+        manifest_row("f", LOG_DOMAIN_PATH, LOG_PROBLEM_PATH),
+    ])
+    result = evaluate_batch(manifest)
+    assert not result.had_errors
+    assert [r["gt_length"] for r in result.records] == [6, 3, 6, 4, 6, 3]
+    assert [args[0] for args in domains] == [BW_DOMAIN_PATH.read_text(),
+                                             LOG_DOMAIN_PATH.read_text()]
+    assert [args[0] for args in problems] == [bw_text, LOG_PROBLEM_PATH.read_text(),
+                                              other_text]
+    cached = pipeline._PARSE_CACHE
+    assert cached[BW_DOMAIN_PATH.read_text(), other_text][0] is cached[
+        BW_DOMAIN_PATH.read_text(), bw_text][0]
+
+
+@pytest.mark.parametrize("broken", ["domain", "problem"])
+def test_unparsable_text_is_never_cached(tmp_path, monkeypatch, broken):
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
+    domains = counted(monkeypatch, "parse_domain")
+    (tmp_path / "broken.pddl").write_text(BROKEN_PDDL)
+    paths = {"domain": BW_DOMAIN_PATH, "problem": BW_PROBLEM_PATH, broken: "broken.pddl"}
+    row = manifest_row("bad", paths["domain"], paths["problem"])
+    result = evaluate_batch(write_manifest(tmp_path, [row] * 3))
+    assert result.failed_rows == ["bad"] * 3
+    assert result.records[0]["error"]["stage"] == "load"
+    assert result.records == [result.records[0]] * 3
+    assert len(domains) == 3  # parsed afresh on every row
+    assert pipeline._PARSE_CACHE == {}
+
+
+def test_parse_cache_evicts_oldest(tmp_path, monkeypatch, bw_domain):
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE_SIZE", 2)
+    texts = [problem_to_pddl(make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]],
+                                             name=f"bw-{i}"), bw_domain)
+             for i in range(3)]
+    for i, text in enumerate(texts):
+        (tmp_path / f"bw-{i}.pddl").write_text(text)
+    evaluate_batch(write_manifest(tmp_path, [
+        manifest_row(f"bw-{i}", BW_DOMAIN_PATH, f"bw-{i}.pddl") for i in range(3)]))
+    assert [key[1] for key in pipeline._PARSE_CACHE] == texts[1:]
+
+
+def test_rows_leave_cached_models_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
+    evaluate_batch(shared_files_manifest(tmp_path))
+    assert len(pipeline._PARSE_CACHE) == 2
+    for (domain_text, problem_text), (domain, problem) in pipeline._PARSE_CACHE.items():
+        fresh = parse_domain(domain_text)
+        assert domain == fresh
+        assert problem == parse_problem(problem_text, fresh)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_caches_give_byte_identical_records(tmp_path, monkeypatch, jobs):
+    manifest = shared_files_manifest(tmp_path)
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    evaluate_batch(manifest, jobs=jobs, out_jsonl=tmp_path / "cold.jsonl")
+    # Fill this process's caches; forked batch workers start with a copy.
+    evaluate_batch(manifest)
+    domains = counted(monkeypatch, "parse_domain")
+    solves = counted(monkeypatch, "solve_optimal")
+    evaluate_batch(manifest, jobs=jobs, out_jsonl=tmp_path / "warm.jsonl")
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    if jobs == 1:
+        assert [args[0] for args in domains] == [BROKEN_PDDL]
+        assert solves == []
 
 
 def test_manifest_missing_column(tmp_path):

@@ -46,7 +46,7 @@ from .similarity import (
     pair_actions,
     param_score,
 )
-from .simulator import SimulationResult, applicable, apply, is_valid, simulate
+from .simulator import SimulationResult, is_valid, simulate
 from .transform import Transformation, VariantScore, circular_shift, find_best_variant, remap_params
 
 __version__ = "0.1.0"
@@ -76,8 +76,6 @@ __all__ = [
     "Transformation",
     "VariantScore",
     "action_similarity",
-    "applicable",
-    "apply",
     "aqm_score",
     "best_subplan",
     "circular_shift",

@@ -20,7 +20,6 @@ class PipelineConfig:
     # transform.*
     c_shift: Fraction = Fraction(1)
     c_map: Fraction = Fraction(1)
-    prune_threshold: int = 6
     budget: int = 1_000_000
     # scoring.*
     validity_reward: Fraction = Fraction(1)
@@ -54,7 +53,6 @@ class PipelineConfig:
 _KEY_MAP = {
     "transform.c_shift": ("c_shift", Fraction),
     "transform.c_map": ("c_map", Fraction),
-    "transform.prune_threshold": ("prune_threshold", int),
     "transform.budget": ("budget", int),
     "scoring.validity_reward": ("validity_reward", Fraction),
     "similarity.provider": ("similarity_provider", str),

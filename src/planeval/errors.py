@@ -58,25 +58,6 @@ class TypeMismatch(PlanEvalError):
 
 
 # ---------------------------------------------------------------------------
-# Simulation
-# ---------------------------------------------------------------------------
-
-
-class UnresolvableAction(PlanEvalError):
-    """The action never resolved against the domain, so it cannot be executed."""
-
-
-class NotApplicable(PlanEvalError):
-    """Preconditions unmet in the state the action was applied to."""
-
-    def __init__(self, action: str, unmet: tuple):
-        self.action = action
-        self.unmet = unmet
-        missing = " ".join(sorted("(%s)" % " ".join(a) for a in unmet))
-        super().__init__(f"action {action} not applicable, unmet: {missing}")
-
-
-# ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
 

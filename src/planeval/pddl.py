@@ -686,13 +686,10 @@ def domain_to_pddl(domain: DomainModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def problem_to_pddl(problem: ProblemModel, domain: DomainModel | None = None) -> str:
-    typed = domain.typed if domain is not None else any(
-        t != ROOT_TYPE for t in problem.objects.values()
-    )
+def problem_to_pddl(problem: ProblemModel, domain: DomainModel) -> str:
     lines = [f"(define (problem {problem.name})"]
     lines.append(f"  (:domain {problem.domain_name})")
-    if typed:
+    if domain.typed:
         objs = " ".join(f"{o} - {t}" for o, t in sorted(problem.objects.items()))
     else:
         objs = " ".join(sorted(problem.objects))

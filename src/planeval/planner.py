@@ -54,7 +54,6 @@ class _GroundTask:
     """Bitmask encoding of one problem: atoms indexed, actions pre-encoded."""
 
     def __init__(self, domain: DomainModel, problem: ProblemModel):
-        self.problem = problem
         self.actions = ground_all_actions(domain, problem)
         atom_index: dict[Atom, int] = {}
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotApplicable, UnresolvableAction
-from .pddl import Atom, GroundAction, Plan, ProblemModel, State, format_atom
+from .pddl import Atom, Plan, ProblemModel, State, format_atom
 
 
 @dataclass(frozen=True)
@@ -36,23 +35,6 @@ class SimulationResult:
     @property
     def final_state(self) -> State:
         return self.trace[-1]
-
-
-def applicable(state: State, action: GroundAction) -> bool:
-    """True iff the grounded preconditions hold in *state*."""
-    if not action.resolvable:
-        raise UnresolvableAction(f"{action}: {action.issue}")
-    return action.preconditions <= state
-
-
-def apply(state: State, action: GroundAction) -> State:
-    """Apply add/delete effects: ``(state - del) | add``."""
-    if not action.resolvable:
-        raise UnresolvableAction(f"{action}: {action.issue}")
-    unmet = action.preconditions - state
-    if unmet:
-        raise NotApplicable(str(action), tuple(sorted(unmet)))
-    return (state - action.del_effects) | action.add_effects
 
 
 def simulate(plan: Plan, problem: ProblemModel) -> SimulationResult:

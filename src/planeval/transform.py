@@ -1,12 +1,13 @@
 """Plan variants via circular shifts and consistent parameter remapping.
 
 The variant search enumerates every (mapping, shift) combination while the
-plan's object count stays at or below ``prune_threshold``; above it, only
-mappings that make at least one action land exactly on its ground-truth
-counterpart under some shift are generated (plus the identity), and that
-search is not exact.  Mapping is applied first, then the shift.
+plan's object count stays at or below ``EXACT_SEARCH_MAX_OBJECTS``; above
+it, only mappings that make at least one action land exactly on its
+ground-truth counterpart under some shift are generated (plus the
+identity), and that search is not exact.  Mapping is applied first, then
+the shift.
 
-The search is exact but scores few variants.  Variants are simulated
+The exact search scores few variants.  Variants are simulated
 instead: all have the plan's length, so all valid ones share one raw score
 and rank by penalty and tie-break alone, and any valid variant beats every
 invalid one.  An invalid variant is scored in full only when an upper bound
@@ -31,6 +32,9 @@ from .scoring import ScoreBreakdown, plan_score, score_ceiling
 from .similarity import NameSimilarityProvider, make_similarity_cache, pair_actions
 from .simulator import is_valid
 
+# Above this many plan objects, only aligned mappings are tried.
+EXACT_SEARCH_MAX_OBJECTS = 6
+
 
 @dataclass(frozen=True)
 class Transformation:
@@ -39,15 +43,6 @@ class Transformation:
 
     shift: int
     mapping: tuple[tuple[str, str], ...]
-
-    @property
-    def changed_objects(self) -> tuple[str, ...]:
-        return tuple(src for src, dst in self.mapping if src != dst)
-
-    def shift_magnitude(self, plan_length: int) -> int:
-        if plan_length == 0 or self.shift == 0:
-            return 0
-        return min(self.shift, plan_length - self.shift)
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,6 @@ def remap_params(plan: Plan, mapping: Mapping[str, str],
             remapped = resolved[key] = resolve_action(*key, domain, problem)
         actions.append(remapped)
     return Plan(tuple(actions), label=plan.label)
-
-
-def transformation_penalty(transformation: Transformation, plan_length: int,
-                           c_shift: Fraction, c_map: Fraction) -> Fraction:
-    """Linear in the circular shift distance and the number of moved objects."""
-    return (c_shift * transformation.shift_magnitude(plan_length)
-            + c_map * len(transformation.changed_objects))
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +188,13 @@ def _pruned_mappings(plan: Plan, gt: Plan, objs: list[str],
 # Search
 # ---------------------------------------------------------------------------
 
-def score_variant(variant: Plan, transformation: Transformation, gt: Plan,
-                  problem: ProblemModel, plan_length: int,
-                  config: PipelineConfig, sim=None) -> VariantScore:
-    """Score one variant; names compare by *sim*, else by ``config.provider()``."""
-    if sim is None:
-        sim = make_similarity_cache(config.provider())
+def score_variant(variant: Plan, transformation: Transformation, penalty: Fraction,
+                  gt: Plan, problem: ProblemModel, sim) -> VariantScore:
+    """Score one variant against *gt*, names compared by *sim*, and subtract
+    the *penalty* of its transformation."""
     valid = is_valid(variant, problem)
     pairing, _ = pair_actions(variant, gt, sim=sim)
     breakdown = plan_score(variant, gt, pairing, lcs_analyze(variant, gt), valid)
-    penalty = transformation_penalty(transformation, plan_length,
-                                     config.c_shift, config.c_map)
     return VariantScore(transformation, variant, breakdown, penalty,
                         breakdown.total - penalty, valid)
 
@@ -234,12 +218,12 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     scored so far, ties decided by the tie-break.  Only the valid winner, if
     any, is scored.
 
-    Up to ``prune_threshold`` objects, a partial mapping is skipped with its
-    completions, each of which moves at least ``low`` objects, when (a) a
-    valid variant is known and ``(c_map * low, low)`` exceeds its (penalty,
-    changes), or (b) an unknown name, arity or object, or an assigned action
-    that does not resolve, leaves no completion valid, and the ceiling minus
-    ``c_map * low`` is below the best score.
+    Up to ``EXACT_SEARCH_MAX_OBJECTS`` objects, a partial mapping is skipped
+    with its completions, each of which moves at least ``low`` objects, when
+    (a) a valid variant is known and ``(c_map * low, low)`` exceeds its
+    (penalty, changes), or (b) an unknown name, arity or object, or an
+    assigned action that does not resolve, leaves no completion valid, and
+    the ceiling minus ``c_map * low`` is below the best score.
 
     Raises :class:`SearchBudgetExceeded`, carrying the exact winner among
     the variants enumerated so far, when variants remain after
@@ -259,8 +243,9 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     shifts = list(range(length)) if length else [0]
     sim = make_similarity_cache(provider)
     ceiling_of = score_ceiling(plan, gt, objs, provider)
-    # Exact penalties, indexed by the number of moved objects, then the shift;
-    # a row is built when a mapping first moves that many objects.
+    # Penalties, c_shift * circular shift distance + c_map * moved objects,
+    # indexed by the number of moved objects, then the shift; a row is built
+    # when a mapping first moves that many objects.
     magnitudes = [min(shift, length - shift) for shift in shifts]
     penalties: dict[int, list[Fraction]] = {}
     resolved: dict[tuple, GroundAction] = {}
@@ -276,9 +261,9 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     def winner() -> VariantScore:
         if valid is None:
             return best
-        (_, _, shift, pairs), variant = valid
-        return score_variant(variant, Transformation(shift, pairs), gt, problem,
-                             length, config, sim=sim)
+        (penalty, _, shift, pairs), variant = valid
+        return score_variant(variant, Transformation(shift, pairs), penalty, gt,
+                             problem, sim)
 
     def exceeded() -> SearchBudgetExceeded:
         found = winner()
@@ -315,7 +300,7 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         enumerated += skipped
         return True
 
-    if len(objs) <= config.prune_threshold:
+    if len(objs) <= EXACT_SEARCH_MAX_OBJECTS:
         assignments = _assignments(objs, skip)
         projected = math.factorial(len(objs)) * len(shifts)
     else:
@@ -357,8 +342,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                 if (penalty, *rank) > limit:
                     continue
             candidate = score_variant(circular_shift(mapped, shift),
-                                      Transformation(shift, pairs), gt, problem, length,
-                                      config, sim=sim)
+                                      Transformation(shift, pairs), penalty, gt,
+                                      problem, sim)
             if (best is None or candidate.penalized > best.penalized
                     or (candidate.penalized == best.penalized and rank < best_rank)):
                 best, best_rank, limit = candidate, rank, None

@@ -104,14 +104,14 @@ def count_optimal_plans(problem: ProblemModel, domain: DomainModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def hmax_oracle(task, state: State) -> float:
+def hmax_oracle(task, state: State, goal: State) -> float:
     """h_max by the Bellman-Ford fixpoint over atom sets.
 
     An atom of *state* has level 0; an action whose preconditions all have a
     level gives each of its add effects the level max(preconditions) + 1
     unless it already has a lower one; sweep over ``task.actions`` until no
-    level drops.  Returns the highest goal level, ``inf`` if a goal atom is
-    never reached.
+    level drops.  Returns the highest level of a *goal* atom, ``inf`` if one
+    is never reached.
     """
     level: dict[Atom, float] = {atom: 0.0 for atom in state}
     changed = True
@@ -125,7 +125,7 @@ def hmax_oracle(task, state: State) -> float:
                 if via < level.get(atom, math.inf):
                     level[atom] = via
                     changed = True
-    return max((level.get(atom, math.inf) for atom in task.problem.goal), default=0.0)
+    return max((level.get(atom, math.inf) for atom in goal), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +192,24 @@ def brute_force_param_counts(p: list[str], q: list[str]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _shift_distance(transformation, plan_length: int) -> int:
+    """Positions moved by the circular shift, the shorter way round."""
+    return min(transformation.shift, plan_length - transformation.shift)
+
+
+def _moved_objects(transformation) -> int:
+    return sum(1 for src, dst in transformation.mapping if src != dst)
+
+
 def total_changes(transformation, plan_length: int) -> int:
     """The circular shift distance plus the number of moved objects."""
-    return transformation.shift_magnitude(plan_length) + len(transformation.changed_objects)
+    return _shift_distance(transformation, plan_length) + _moved_objects(transformation)
+
+
+def penalty_oracle(transformation, plan_length: int, config):
+    """The pi1 penalty: ``c_shift`` per shift position, ``c_map`` per moved object."""
+    return (config.c_shift * _shift_distance(transformation, plan_length)
+            + config.c_map * _moved_objects(transformation))
 
 
 def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
@@ -227,8 +242,9 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
         if perm not in remapped:
             remapped[perm] = remap_params(plan, mapping, domain, problem)
         transformation = Transformation(shift, tuple(sorted(mapping.items())))
+        penalty = penalty_oracle(transformation, len(plan), config)
         scored.append(score_variant(circular_shift(remapped[perm], shift), transformation,
-                                    gt, problem, len(plan), config, sim=sim))
+                                    penalty, gt, problem, sim))
 
     def sort_key(vs):
         return (

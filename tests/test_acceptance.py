@@ -290,7 +290,7 @@ def test_criterion_4_batch_scores_few_variants(tmp_path, monkeypatch, bw_domain,
     def counting_search(plan, gt, problem, domain, config, **kwargs):
         objs = sorted(plan.objects())
         shifts = list(range(len(plan))) or [0]
-        if len(objs) <= config.prune_threshold:
+        if len(objs) <= transform.EXACT_SEARCH_MAX_OBJECTS:
             mappings = math.factorial(len(objs))
         else:
             mappings = sum(1 for _ in transform._pruned_mappings(plan, gt, objs, shifts))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
+from planeval.config import _KEY_MAP
 from planeval.errors import ConfigError, InstanceError, ManifestError
 from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
@@ -446,7 +449,6 @@ def test_manifest_empty_required_field(tmp_path):
 def test_config_defaults():
     config = load_config(None)
     assert config.c_shift == 1 and config.c_map == 1
-    assert config.prune_threshold == 6
     assert config.budget == 1_000_000
     assert config.validity_reward == 1
 
@@ -456,8 +458,7 @@ def test_config_file_overrides(tmp_path):
     path.write_text(
         "transform.c_shift = 0.5\n"
         "transform.c_map = 2\n"
-        "transform.prune_threshold = 4  # comment\n"
-        "transform.budget = 1000\n"
+        "transform.budget = 1000  # comment\n"
         "scoring.validity_reward = 0.25\n"
         "similarity.provider = char_lcs\n"
         "similarity.floor = 0.6\n"
@@ -466,7 +467,6 @@ def test_config_file_overrides(tmp_path):
     config = load_config(path)
     assert config.c_shift == Fraction(1, 2)
     assert config.c_map == 2
-    assert config.prune_threshold == 4
     assert config.budget == 1000
     assert config.validity_reward == Fraction(1, 4)
     assert config.similarity_provider == "char_lcs"
@@ -492,6 +492,21 @@ def test_config_unknown_key(tmp_path):
     path.write_text("transform.unknown = 1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_config_rejects_the_removed_prune_threshold(tmp_path):
+    # The exact-search object limit is the constant EXACT_SEARCH_MAX_OBJECTS.
+    path = tmp_path / "old.cfg"
+    path.write_text("transform.budget = 7\ntransform.prune_threshold = 6\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "config line 2: unknown key 'transform.prune_threshold'")):
+        load_config(path)
+
+
+def test_config_key_map_covers_every_field():
+    # Every field but the resolved provider is set by exactly one config key.
+    settable = [f.name for f in fields(PipelineConfig) if f.name != "resolved_provider"]
+    assert sorted(attr for attr, _ in _KEY_MAP.values()) == sorted(settable)
 
 
 @pytest.mark.parametrize("key", ["transform.c_shift", "transform.c_map"])

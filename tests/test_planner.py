@@ -119,22 +119,26 @@ def test_hmax_matches_fixpoint_oracle(bw_domain, bw_problem, gt_plan,
         task = _GroundTask(domain, problem)
         reachable = bfs_distances(problem.init, task.actions)
         for state in reachable:
-            assert hmax(task, state_mask(task, state)) == hmax_oracle(task, state)
+            assert (hmax(task, state_mask(task, state))
+                    == hmax_oracle(task, state, problem.goal))
 
     def with_goal(goal):
         return _GroundTask(bw_domain, ProblemModel(
             bw_problem.name, bw_problem.domain_name, bw_problem.objects,
-            bw_problem.init, frozenset(goal)))
+            bw_problem.init, goal))
 
     # (on a a) is unsolvable, but its relaxation reaches it by pick-up, stack.
-    task = with_goal({("on", "a", "a")})
-    assert hmax(task, task.init_mask) == hmax_oracle(task, bw_problem.init) == 2
+    goal = frozenset({("on", "a", "a")})
+    task = with_goal(goal)
+    assert hmax(task, task.init_mask) == hmax_oracle(task, bw_problem.init, goal) == 2
     # No action adds an atom of an undeclared object.
-    task = with_goal({("on", "a", "b"), ("ontable", "z")})
-    assert hmax(task, task.init_mask) == hmax_oracle(task, bw_problem.init) == INF
+    goal = frozenset({("on", "a", "b"), ("ontable", "z")})
+    task = with_goal(goal)
+    assert hmax(task, task.init_mask) == hmax_oracle(task, bw_problem.init, goal) == INF
     task = with_goal(bw_problem.goal)
     final = simulate(gt_plan, bw_problem).final_state
-    assert hmax(task, state_mask(task, final)) == hmax_oracle(task, final) == 0
+    assert (hmax(task, state_mask(task, final))
+            == hmax_oracle(task, final, bw_problem.goal) == 0)
 
 
 # Each of these has several optimal plans.  A* breaks f-ties by the number of

@@ -1,35 +1,36 @@
 from __future__ import annotations
 
 import random
-
-import pytest
+from dataclasses import replace
 
 from planeval import is_valid, parse_plan, simulate
-from planeval.errors import NotApplicable, UnresolvableAction
 from planeval.pddl import GroundAction, Plan
 from planeval.planner import ground_all_actions
-from planeval.simulator import applicable, apply, format_trace
+from planeval.simulator import format_trace
+
+NOOP = Plan((GroundAction("noop", ()),))
 
 
-def test_applicable_running_example(bw_domain, bw_problem, pi0_plan, gt_plan):
-    assert not applicable(bw_problem.init, pi0_plan[0])  # block a is not on c
-    assert applicable(bw_problem.init, gt_plan[0])
+def test_applicable_running_example(bw_problem, pi0_plan, gt_plan):
+    assert not simulate(pi0_plan[:1], bw_problem).executable  # block a is not on c
+    assert simulate(gt_plan[:1], bw_problem).executable
 
 
 def test_applicable_empty_preconditions(bw_problem):
-    noop = GroundAction("noop", ())
-    assert applicable(bw_problem.init, noop)
-    assert applicable(frozenset(), noop)
+    assert simulate(NOOP, bw_problem).executable
+    assert simulate(NOOP, replace(bw_problem, init=frozenset())).executable
 
 
-def test_applicable_unresolvable_raises(bw_problem):
+def test_applicable_unresolvable_is_flagged(bw_problem):
     bogus = GroundAction("foo", ("bar",), resolvable=False, issue="unknown action name")
-    with pytest.raises(UnresolvableAction):
-        applicable(bw_problem.init, bogus)
+    result = simulate(Plan((bogus,)), bw_problem)
+    assert result.lea == 0
+    assert result.failure_reason.unresolvable
+    assert result.failure_reason.unmet == ()
 
 
 def test_apply_unstack(bw_problem, gt_plan):
-    state = apply(bw_problem.init, gt_plan[0])  # (unstack b c)
+    state = simulate(gt_plan[:1], bw_problem).final_state  # (unstack b c)
     assert ("holding", "b") in state
     assert ("clear", "c") in state
     assert ("on", "b", "c") not in state
@@ -37,21 +38,23 @@ def test_apply_unstack(bw_problem, gt_plan):
 
 
 def test_apply_identity_effects(bw_problem):
-    noop = GroundAction("noop", ())
-    assert apply(bw_problem.init, noop) == bw_problem.init
+    assert simulate(NOOP, bw_problem).final_state == bw_problem.init
 
 
 def test_apply_reverse_is_involution(bw_problem, gt_plan):
     action = gt_plan[0]
     reverse = GroundAction(action.name, action.args, preconditions=frozenset(),
                            add_effects=action.del_effects, del_effects=action.add_effects)
-    assert apply(apply(bw_problem.init, action), reverse) == bw_problem.init
+    result = simulate(Plan((action, reverse)), bw_problem)
+    assert result.executable
+    assert result.final_state == bw_problem.init
 
 
 def test_apply_unmet_preconditions(bw_problem, pi0_plan):
-    with pytest.raises(NotApplicable) as excinfo:
-        apply(bw_problem.init, pi0_plan[0])
-    assert ("on", "a", "c") in excinfo.value.unmet
+    reason = simulate(pi0_plan[:1], bw_problem).failure_reason
+    assert reason.index == 1
+    assert ("on", "a", "c") in reason.unmet
+    assert not reason.unresolvable
 
 
 def test_simulate_pi0(bw_problem, pi0_plan):

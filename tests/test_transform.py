@@ -25,10 +25,10 @@ from planeval.errors import NonBijectiveMapping, SearchBudgetExceeded
 from planeval.pddl import GroundAction, Plan, ProblemModel, plan_to_text
 from planeval.similarity import SynonymTable, make_similarity_cache
 from planeval.scoring import score_ceiling
-from planeval.transform import Transformation, score_variant, transformation_penalty
+from planeval.transform import EXACT_SEARCH_MAX_OBJECTS, Transformation, score_variant
 
 from conftest import make_bw_problem
-from oracles import rank_variants_oracle, total_changes
+from oracles import penalty_oracle, rank_variants_oracle, total_changes
 
 PI1_TEXT = ("(unstack b c)\n(put-down b)\n(pick-up c)\n(stack c b)\n"
             "(unstack c b)\n(put-down c)\n(pick-up a)\n(stack a c)\n")
@@ -105,13 +105,22 @@ def test_remap_retypes_cross_type_actions(logistics_domain, logistics_problems):
     assert not mapped[0].resolvable  # a truck cannot be loaded as a package
 
 
-def test_transformation_penalty_defaults():
-    identity = Transformation(0, (("a", "a"), ("b", "b")))
-    assert transformation_penalty(identity, 8, Fraction(1), Fraction(1)) == 0
-    swap = Transformation(0, (("a", "b"), ("b", "a")))
-    assert transformation_penalty(swap, 8, Fraction(1), Fraction(1)) == 2
-    shifted = Transformation(6, (("a", "a"),))
-    assert transformation_penalty(shifted, 8, Fraction(1), Fraction(1)) == 2  # min(6, 2)
+def test_transformation_penalty_defaults(bw_domain, bw_problem, gt_plan, pi0_plan):
+    def winner(plan, gt):
+        return find_best_variant(plan, gt, bw_problem, bw_domain)[1]
+
+    identity = winner(gt_plan, gt_plan)  # valid
+    assert identity.transformation.shift == 0 and identity.penalty == 0
+    swap = winner(pi0_plan, gt_plan)  # a/b swapped, invalid
+    assert swap.transformation == Transformation(0, (("a", "b"), ("b", "a"), ("c", "c")))
+    assert swap.penalty == 2
+    pi1 = parse_plan(PI1_TEXT, bw_domain, bw_problem)
+    shifted = winner(circular_shift(pi1, 2), pi1)  # 8 actions, invalid
+    assert shifted.transformation == Transformation(6, (("a", "a"), ("b", "b"), ("c", "c")))
+    assert shifted.penalty == 2  # min(6, 8 - 6)
+    shuffled = winner(circular_shift(gt_plan, 2), gt_plan)  # 6 actions, valid
+    assert shuffled.valid and shuffled.transformation.shift == 4
+    assert shuffled.penalty == 2  # min(4, 6 - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +138,16 @@ def test_find_best_variant_running_example(pi0_plan, gt_plan, bw_problem, bw_dom
     assert not score.valid
 
 
-def test_score_variant_defaults_to_the_config_provider(bw_domain, bw_problem, gt_plan):
+def test_find_best_variant_defaults_to_the_config_provider(bw_domain, bw_problem, gt_plan):
     config = PipelineConfig(similarity_provider="char_lcs")
     plan = parse_plan("(pick-up a)\n(lift b)\n(stack b c)\n(unstack a a)\n",
                       bw_domain, bw_problem)
-    identity = Transformation(0, tuple((o, o) for o in sorted(plan.objects())))
-    default = score_variant(plan, identity, gt_plan, bw_problem, len(plan), config)
-    explicit = score_variant(plan, identity, gt_plan, bw_problem, len(plan), config,
-                             sim=make_similarity_cache(config.provider()))
+    _, default = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+    _, explicit = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config,
+                                    provider=config.provider())
+    _, exact = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
     assert default.penalized == explicit.penalized == Fraction(59, 6)
+    assert exact.penalized != default.penalized
 
 
 def test_identity_wins_for_perfect_plan(gt_plan, bw_problem, bw_domain):
@@ -412,7 +422,7 @@ def test_search_leaves_no_cyclic_garbage(bw_domain, bw_problem, logistics_domain
     log = logistics_problems["log-04"]
     log_gt = solve_optimal(log, logistics_domain)
     swapped = remap_params(log_gt, {"p1": "p2", "p2": "p1"}, logistics_domain, log)
-    assert len(swapped.objects()) > PipelineConfig().prune_threshold
+    assert len(swapped.objects()) > EXACT_SEARCH_MAX_OBJECTS
     searches = [(_hallucinated(gt, bw_domain, bw_problem), gt, bw_problem, bw_domain),
                 (five_gt[:-2], five_gt, five, bw_domain),
                 (swapped, log_gt, log, logistics_domain)]
@@ -452,9 +462,10 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
             mapped = remap_params(plan, mapping, bw_domain, bw_problem)
             for shift in range(max(len(plan), 1)):
                 variant = circular_shift(mapped, shift)
-                score = score_variant(variant, Transformation(shift, tuple(mapping.items())),
-                                      gt_plan, bw_problem, len(plan), config,
-                                      sim=sim)
+                transformation = Transformation(shift, tuple(mapping.items()))
+                score = score_variant(variant, transformation,
+                                      penalty_oracle(transformation, len(plan), config),
+                                      gt_plan, bw_problem, sim)
                 if not score.valid:
                     assert bound - score.penalty >= score.penalized
                     checked += 1
@@ -533,7 +544,7 @@ def test_search_budget_exceeded_carries_best(pi0_plan, gt_plan, bw_problem, bw_d
     assert best_score.penalized is not None
     if budget == 0:  # only the identity, enumerated first, was scored
         assert best_score.transformation.shift == 0
-        assert not best_score.transformation.changed_objects
+        assert all(src == dst for src, dst in best_score.transformation.mapping)
         assert best_plan.keys() == pi0_plan.keys()
 
 
@@ -545,12 +556,12 @@ def test_search_is_deterministic(pi0_plan, gt_plan, bw_problem, bw_domain):
 
 
 def test_pruned_mode_finds_object_swap(logistics_domain, logistics_problems):
-    # log-04 has 7 objects, above the default prune threshold of 6, so the
+    # log-04 has 7 objects, above EXACT_SEARCH_MAX_OBJECTS = 6, so the
     # search only tries mappings that align at least one action positionally.
     from planeval import solve_optimal
     problem = logistics_problems["log-04"]
     gt = solve_optimal(problem, logistics_domain)
-    assert len(problem.objects) > PipelineConfig().prune_threshold
+    assert len(problem.objects) > EXACT_SEARCH_MAX_OBJECTS
     swapped = remap_params(gt, {"p1": "p2", "p2": "p1"}, logistics_domain, problem)
     assert not is_valid(swapped, problem)
     pi1, score = find_best_variant(swapped, gt, problem, logistics_domain)

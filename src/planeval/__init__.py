@@ -22,11 +22,10 @@ from .pddl import (
     parse_plan,
     parse_problem,
 )
-from .pipeline import EvaluationRecord, evaluate_batch, evaluate_instance
+from .pipeline import evaluate_batch, evaluate_instance
 from .planner import replan_from, solve_optimal
 from .recovery import RecoveryOutcome, RepairStep, StepKind, divergence_point, recover, steps_to_validity
 from .scoring import (
-    PotentialScore,
     ScoreBreakdown,
     length_penalty,
     normalize_score,
@@ -57,13 +56,11 @@ __all__ = [
     "Atom",
     "CharLcsSimilarity",
     "DomainModel",
-    "EvaluationRecord",
     "GroundAction",
     "LcsResult",
     "PairingResult",
     "Plan",
     "PipelineConfig",
-    "PotentialScore",
     "ProblemModel",
     "QualityLabel",
     "RecoveryOutcome",

@@ -11,6 +11,7 @@ from .config import load_config
 from .errors import InstanceError, PlanEvalError
 from .pddl import parse_domain, parse_plan, parse_problem, plan_to_text
 from .pipeline import (
+    _plan_metrics,
     evaluate_batch,
     evaluate_instance,
     read_jsonl,
@@ -54,12 +55,7 @@ def _cmd_validate(args) -> int:
     domain, problem = _load_models(args)
     plan = parse_plan(_read("--plan", args.plan), domain, problem)
     result = simulate(plan, problem)
-    payload = {
-        "valid": result.valid,
-        "executable": result.executable,
-        "lea": result.lea,
-        "length": len(plan),
-    }
+    payload = _plan_metrics(plan, result)
     if result.failure_reason is not None:
         reason = result.failure_reason
         payload["failure"] = {
@@ -83,7 +79,7 @@ def _cmd_eval(args) -> int:
         domain, problem, plan_text, gt_plan_text=gt_text, config=config,
         instance_id=args.instance_id, model=args.model, prompt_type=args.prompt_type,
     )
-    _write_or_print(json.dumps(record.to_json(), sort_keys=True) + "\n", args.out)
+    _write_or_print(json.dumps(record, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -89,12 +89,14 @@ def extract(plan: Plan, pairs: tuple[IndexPair, ...], label: str | None = None) 
     return Plan(tuple(plan[i - 1] for i, _ in pairs), label=label)
 
 
-def best_subplan(plan: Plan, gt: Plan, problem: ProblemModel,
+def best_subplan(plan: Plan, lcs: LcsResult, problem: ProblemModel,
                  label: str | None = None) -> Plan:
     """Prefer the contiguous sub-plan when it is valid on its own, else take
-    the subsequence sub-plan; either may be empty."""
-    result = lcs_analyze(plan, gt)
-    substring_plan = extract(plan, result.substring, label=label)
+    the subsequence sub-plan; either may be empty.
+
+    *lcs* is ``lcs_analyze(plan, gt)``, the analysis the caller already holds.
+    """
+    substring_plan = extract(plan, lcs.substring, label=label)
     if is_valid(substring_plan, problem):
         return substring_plan
-    return extract(plan, result.subsequence, label=label)
+    return extract(plan, lcs.subsequence, label=label)

@@ -36,7 +36,7 @@ from .planner import solve_optimal
 from .recovery import recover, steps_to_validity
 from .scoring import normalize_score, plan_score, potential
 from .similarity import aqm_score, non_positional_aqm, pair_actions
-from .simulator import simulate
+from .simulator import SimulationResult, simulate
 from .transform import find_best_variant
 
 SCHEMA_VERSION = 2
@@ -54,47 +54,8 @@ REPORT_COLUMNS = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvaluationRecord:
-    """Full metric vector for one instance, self-contained for re-aggregation."""
-
-    instance_id: str
-    model: str
-    prompt_type: str
-    domain: str
-    gt_length: int
-    flags: dict[str, bool]
-    pi0: dict
-    pi1: dict
-    pi2: dict
-    pi3: dict
-    pi4: dict
-    potential: float
-    corr_length: float
-    comp_length: float
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "instance_id": self.instance_id,
-            "model": self.model,
-            "prompt_type": self.prompt_type,
-            "domain": self.domain,
-            "gt_length": self.gt_length,
-            "flags": self.flags,
-            "pi0": self.pi0,
-            "pi1": self.pi1,
-            "pi2": self.pi2,
-            "pi3": self.pi3,
-            "pi4": self.pi4,
-            "potential": self.potential,
-            "corr_length": self.corr_length,
-            "comp_length": self.comp_length,
-        }
-
-
-def _plan_metrics(plan: Plan, problem: ProblemModel, stv: int | None = None) -> dict:
-    result = simulate(plan, problem)
+def _plan_metrics(plan: Plan, result: SimulationResult, stv: int | None = None) -> dict:
+    """Validity, executability, length and LEA of *plan* from its simulation."""
     metrics = {
         "valid": result.valid,
         "executable": result.executable,
@@ -104,11 +65,6 @@ def _plan_metrics(plan: Plan, problem: ProblemModel, stv: int | None = None) -> 
     if stv is not None:
         metrics["stv"] = stv
     return metrics
-
-
-def _stv(plan: Plan, gt: Plan, problem: ProblemModel, provider) -> int:
-    pairing, aqm = pair_actions(plan, gt, provider=provider)
-    return len(steps_to_validity(plan, aqm, pairing, gt, problem))
 
 
 # Per-process cache of solved ground truths, keyed on the serialised domain
@@ -128,8 +84,9 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                       plan_text: str | None, gt_plan_text: str | None = None,
                       config: PipelineConfig | None = None,
                       instance_id: str = "", model: str = "",
-                      prompt_type: str = "") -> EvaluationRecord:
-    """Run the whole pipeline for one candidate plan.
+                      prompt_type: str = "") -> dict:
+    """Run the whole pipeline for one candidate plan and return its record,
+    the dict that ``write_jsonl`` writes.
 
     ``gt_plan_text`` supplies the ground truth; without it the instance is
     solved (built-in planner or ``planner.external_cmd``) and the plan is
@@ -137,6 +94,10 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     truth must be valid (stage ``check-gt``).  A ``None`` plan text
     marks a failed generation and is evaluated as the empty plan.  Any stage
     failure is wrapped in :class:`InstanceError` naming the stage.
+
+    Each plan (the ground truth and pi0 to pi4) is simulated once, and pi0
+    and pi1 are LCS-analysed once; the stages that need those results are
+    handed them.
     """
     if config is None:
         config = PipelineConfig()
@@ -173,13 +134,12 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
             f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
     pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, label="pi0")
-
-    valid0 = simulate(pi0, problem).valid
+    sim0 = simulate(pi0, problem)
 
     pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, provider=provider)
-    np_aqm = non_positional_aqm(aqm, pairing, provider=provider)
+    np_aqm = non_positional_aqm(pi0, gt_plan, aqm, provider=provider)
     lcs0 = stage("lcs", lcs_analyze, pi0, gt_plan)
-    breakdown0 = stage("score", plan_score, pi0, gt_plan, pairing, lcs0, valid0)
+    breakdown0 = stage("score", plan_score, pi0, gt_plan, pairing, lcs0, sim0.valid)
     normalized0 = normalize_score(breakdown0, pi0, gt_plan)
 
     try:
@@ -192,25 +152,25 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         raise InstanceError("transform", exc) from exc
     pi1 = pi1.with_label("pi1")
 
-    pi2 = stage("subplan", best_subplan, pi0, gt_plan, problem, label="pi2")
-    pi3 = stage("subplan", best_subplan, pi1, gt_plan, problem, label="pi3")
+    pi2 = stage("subplan", best_subplan, pi0, lcs0, problem, label="pi2")
+    pi3 = stage("subplan", best_subplan, pi1, lcs_analyze(pi1, gt_plan), problem,
+                label="pi3")
 
     steps0 = stage("stv", steps_to_validity, pi0, aqm, pairing, gt_plan, problem)
-    stv0 = len(steps0)
-    stv1 = stage("stv", _stv, pi1, gt_plan, problem, provider)
-    stv2 = stage("stv", _stv, pi2, gt_plan, problem, provider)
-    stv3 = stage("stv", _stv, pi3, gt_plan, problem, provider)
+    metrics = {"pi0": _plan_metrics(pi0, sim0, stv=len(steps0))}
+    for key, plan in (("pi1", pi1), ("pi2", pi2), ("pi3", pi3)):
+        pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, provider=provider)
+        steps = stage("stv", steps_to_validity, plan, aqm_k, pairing_k, gt_plan, problem)
+        metrics[key] = _plan_metrics(plan, simulate(plan, problem), stv=len(steps))
 
     # Potential per action; the empty plan is defaulted on the GT length.
     n_eff = len(pi0) if len(pi0) > 0 else len(gt_plan)
-    potential_score = stage("potential", potential, breakdown0.total,
-                            variant1.penalized, n_eff, valid0,
-                            reward=config.validity_reward)
+    potential0 = stage("potential", potential, breakdown0.total, variant1.penalized,
+                       n_eff, sim0.valid, reward=config.validity_reward)
 
-    outcome = recover(pi0, gt_plan, problem)
+    outcome = recover(pi0, gt_plan, sim0, sim_gt)
 
-    pi0_metrics = _plan_metrics(pi0, problem, stv=stv0)
-    pi0_metrics.update({
+    metrics["pi0"].update({
         "score": {
             "base": float(breakdown0.base),
             "similarity_sum": float(breakdown0.similarity_sum),
@@ -228,9 +188,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "per_action_scores": [float(s) for s in pairing.per_action_scores],
         "steps": [step.to_json() for step in steps0],
     })
-
-    pi1_metrics = _plan_metrics(pi1, problem, stv=stv1)
-    pi1_metrics.update({
+    metrics["pi1"].update({
         "shift": variant1.transformation.shift,
         "mapping": {src: dst for src, dst in variant1.transformation.mapping
                     if src != dst},
@@ -238,23 +196,21 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "transform_penalty": float(variant1.penalty),
         "penalized_score": float(variant1.penalized),
     })
+    metrics["pi4"] = _plan_metrics(outcome.final, simulate(outcome.final, problem))
 
-    return EvaluationRecord(
-        instance_id=instance_id,
-        model=model,
-        prompt_type=prompt_type,
-        domain=domain.name,
-        gt_length=len(gt_plan),
-        flags=flags,
-        pi0=pi0_metrics,
-        pi1=pi1_metrics,
-        pi2=_plan_metrics(pi2, problem, stv=stv2),
-        pi3=_plan_metrics(pi3, problem, stv=stv3),
-        pi4=_plan_metrics(outcome.final, problem),
-        potential=float(potential_score.potential),
-        corr_length=float(len(outcome.corr)),
-        comp_length=float(len(outcome.comp)),
-    )
+    return {
+        "schema": SCHEMA_VERSION,
+        "instance_id": instance_id,
+        "model": model,
+        "prompt_type": prompt_type,
+        "domain": domain.name,
+        "gt_length": len(gt_plan),
+        "flags": flags,
+        **metrics,
+        "potential": float(potential0),
+        "corr_length": float(len(outcome.corr)),
+        "comp_length": float(len(outcome.comp)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +308,11 @@ def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
 
     gt_plan_text = _read(row.gt_plan_path) if row.gt_plan_path is not None else None
 
-    record = evaluate_instance(
+    return evaluate_instance(
         domain, problem, plan_text, gt_plan_text=gt_plan_text,
         config=config, instance_id=row.instance_id, model=row.model,
         prompt_type=row.prompt_type,
     )
-    return record.to_json()
 
 
 def _evaluate_row_safe(row: ManifestRow, config: PipelineConfig) -> dict:

@@ -1,12 +1,14 @@
 """Repair effort (steps to validity) and plan recovery.
 
-Recovery finds the last ground-truth state the candidate's trace ever
-reaches, ``gt_trace[k]``, and keeps the shortest prefix that reaches it
-(``corr``).  Because that state lies on the optimal ground-truth path, the
-ground-truth suffix ``gt[k:]`` is an optimal completion from it (Bellman's
-principle of optimality), so it becomes ``comp`` without any search.  This
-holds only for a valid ground truth, which the pipeline checks before
-recovery.  A plan that is already valid is returned unchanged.
+Recovery works from the simulations of the candidate and the ground truth
+that the caller already holds.  It finds the last ground-truth state the
+candidate's trace ever reaches, ``gt_trace[k]``, and keeps the shortest
+prefix that reaches it (``corr``).  Because that state lies on the optimal
+ground-truth path, the ground-truth suffix ``gt[k:]`` is an optimal
+completion from it (Bellman's principle of optimality), so it becomes
+``comp`` without any search.  This holds only for a valid ground truth,
+which the pipeline checks before recovery.  A plan that is already valid is
+returned unchanged.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .pddl import GroundAction, Plan, ProblemModel, State
 from .similarity import ActionQualityMap, PairingResult, QualityLabel
-from .simulator import is_valid, simulate
+from .simulator import SimulationResult, is_valid
 
 
 class StepKind(enum.Enum):
@@ -58,7 +60,6 @@ class RecoveryOutcome:
     corr: Plan
     comp: Plan
     final: Plan
-    divergence_state_index: int  # position in the ground-truth trace
 
 
 def steps_to_validity(plan: Plan, aqm: ActionQualityMap, pairing: PairingResult,
@@ -116,22 +117,21 @@ def divergence_point(plan_trace: tuple[State, ...],
     raise AssertionError("traces share no state; both must start at init")
 
 
-def recover(plan: Plan, gt: Plan, problem: ProblemModel) -> RecoveryOutcome:
-    """Build the recovered plan ``corr ++ gt[k:]``.
+def recover(plan: Plan, gt: Plan, plan_sim: SimulationResult,
+            gt_sim: SimulationResult) -> RecoveryOutcome:
+    """Build the recovered plan ``corr ++ gt[k:]`` from the simulations
+    *plan_sim* of *plan* and *gt_sim* of *gt*, both from the same problem.
 
-    *gt* must be valid for *problem*; the recovered plan is then valid too,
-    and as short as any completion of ``corr`` when *gt* is optimal.
+    *gt* must be valid; the recovered plan is then valid too, and as short
+    as any completion of ``corr`` when *gt* is optimal.
     """
-    plan_sim = simulate(plan, problem)
-    gt_sim = simulate(gt, problem)
-    k, prefix_length = divergence_point(plan_sim.trace, gt_sim.trace)
-
     if plan_sim.valid:
         # Already valid: keep the whole plan, nothing to complete.
         return RecoveryOutcome(corr=plan.with_label("pi_corr"), comp=Plan(label="pi_comp"),
-                               final=plan.with_label("pi4"), divergence_state_index=k)
+                               final=plan.with_label("pi4"))
 
+    k, prefix_length = divergence_point(plan_sim.trace, gt_sim.trace)
     corr = Plan(plan.actions[:prefix_length], label="pi_corr")
     comp = Plan(gt.actions[k:], label="pi_comp")
     final = Plan(corr.actions + comp.actions, label="pi4")
-    return RecoveryOutcome(corr=corr, comp=comp, final=final, divergence_state_index=k)
+    return RecoveryOutcome(corr=corr, comp=comp, final=final)

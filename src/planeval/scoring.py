@@ -56,14 +56,6 @@ class ScoreBreakdown:
     valid: bool
 
 
-@dataclass(frozen=True)
-class PotentialScore:
-    score0: Fraction
-    score1: Fraction
-    potential: Fraction
-    validity_reward: Fraction  # amount added; zero when the plan was invalid
-
-
 def length_penalty(n: int, m: int) -> Fraction:
     """Quadratic deviation from the optimal length; short plans pay double."""
     if m < 1:
@@ -98,14 +90,13 @@ def plan_score(plan: Plan, gt: Plan, pairing: PairingResult, lcs: LcsResult,
 
 
 def potential(score0: Fraction, score1: Fraction, n0: int, valid0: bool,
-              reward: Fraction = DEFAULT_VALIDITY_REWARD) -> PotentialScore:
-    """Per-action mean of the raw and best-variant scores, plus the validity
-    reward when the raw plan was already valid."""
+              reward: Fraction = DEFAULT_VALIDITY_REWARD) -> Fraction:
+    """The potential: per-action mean of the raw and best-variant scores, plus
+    the validity *reward* when the raw plan was already valid."""
     if n0 < 1:
         raise ZeroLengthGroundTruth("potential undefined for an empty candidate plan")
     mean_per_action = (score0 + score1) / (2 * n0)
-    applied = Fraction(reward) if valid0 else ZERO
-    return PotentialScore(score0, score1, mean_per_action + applied, applied)
+    return mean_per_action + Fraction(reward) if valid0 else mean_per_action
 
 
 def normalize_score(breakdown: ScoreBreakdown, plan: Plan, gt: Plan) -> Fraction:

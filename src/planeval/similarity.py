@@ -198,8 +198,6 @@ class ActionPair:
 
 @dataclass(frozen=True)
 class PairingResult:
-    plan: Plan
-    gt: Plan
     pairs: tuple[ActionPair, ...]
     per_action_scores: tuple[Fraction, ...]
     unpaired: tuple[int, ...]  # 1-based candidate indices left redundant
@@ -289,19 +287,19 @@ def pair_actions(plan: Plan, gt: Plan,
             labels[i] = QualityLabel.REDUNDANT
             unpaired.append(i + 1)
 
-    result = PairingResult(plan, gt, tuple(pairs), tuple(scores), tuple(unpaired))
+    result = PairingResult(tuple(pairs), tuple(scores), tuple(unpaired))
     aqm = ActionQualityMap(tuple(labels))  # type: ignore[arg-type]
     return result, aqm
 
 
-def non_positional_aqm(aqm: ActionQualityMap, pairing: PairingResult,
+def non_positional_aqm(plan: Plan, gt: Plan, aqm: ActionQualityMap,
                        provider: NameSimilarityProvider | None = None) -> ActionQualityMap:
-    """Position-agnostic relabelling: misplaced becomes correct and redundant
-    actions are relabelled against the full (re-usable) ground-truth pool;
-    redundant survives only at zero similarity to every ground-truth action."""
+    """Position-agnostic relabelling of *aqm*, the quality map of *plan*
+    against *gt*: misplaced becomes correct and redundant actions are
+    relabelled against the full (re-usable) ground-truth pool; redundant
+    survives only at zero similarity to every ground-truth action."""
     if provider is None:
         provider = exact_name_similarity
-    plan, gt = pairing.plan, pairing.gt
     gt_names = {action.name for action in gt}
     labels = list(aqm.labels)
     for i, label in enumerate(labels):

@@ -7,6 +7,7 @@ lines and timings.
 from __future__ import annotations
 
 import csv
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -69,7 +70,7 @@ def test_criterion_1_golden_chain(bw_domain, bw_problem, pi0_plan, gt_plan):
 
     assert aqm.label_names() == ("same_act", "same_act", "correct", "same_act",
                                  "diff_act", "redundant", "same_act", "redundant")
-    np_aqm = non_positional_aqm(aqm, pairing)
+    np_aqm = non_positional_aqm(pi0_plan, gt_plan, aqm)
     assert np_aqm.label_names() == ("same_act", "same_act", "correct", "same_act",
                                     "diff_act", "same_act", "same_act", "same_act")
 
@@ -96,7 +97,7 @@ def test_criterion_1_golden_chain(bw_domain, bw_problem, pi0_plan, gt_plan):
     assert len(steps1) == 2
 
     record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
-                               gt_plan_text=INSTANCE_10_GT, instance_id="10").to_json()
+                               gt_plan_text=INSTANCE_10_GT, instance_id="10")
     assert record["pi3"]["valid"] is True
     assert record["comp_length"] == 6.0
 
@@ -113,9 +114,9 @@ def test_criterion_1_golden_chain(bw_domain, bw_problem, pi0_plan, gt_plan):
 def test_criterion_2_potential():
     start = time.monotonic()
     result = potential(Fraction(278, 15), Fraction(77, 3), 8, False)
-    assert abs(float(result.potential) - 2.7625) < 1e-9
+    assert abs(float(result) - 2.7625) < 1e-9
     # The mean formula gives exactly 2.7625, within 0.01 of 2.766...
-    assert abs(float(result.potential) - (2 + Fraction(23, 30))) < 0.01
+    assert abs(float(result) - (2 + Fraction(23, 30))) < 0.01
     _report(2, time.monotonic() - start, "potential 2.7625 within 0.01 of 2.766...")
 
 
@@ -306,6 +307,23 @@ def test_criterion_4_batch_scores_few_variants(tmp_path, monkeypatch, bw_domain,
     assert not any(r["flags"]["transform_budget_exceeded"] for r in result.records)
     assert counts["enumerated"] > 10_000
     assert counts["scored"] <= 0.05 * counts["enumerated"], counts
+
+
+#: sha256 of the criterion-4 batch JSONL (67 rows, default configuration).
+CRITERION_4_JSONL_SHA256 = "75d06c406056c92e6193b786741c8d74a1571cd78f382ab72c31e7e384579095"
+
+
+def test_criterion_4_batch_records_are_byte_identical(tmp_path, bw_domain, bw_problem,
+                                                      logistics_domain, logistics_problems):
+    """A refactor must leave every record of the criterion-4 batch byte for
+    byte as it was, so the JSONL digest is pinned here.  A change that alters
+    records on purpose updates the digest and gives the reason in CHANGES.md."""
+    manifest = _build_batch(tmp_path, bw_domain, logistics_domain,
+                            logistics_problems, bw_problem)
+    out = tmp_path / "batch.jsonl"
+    result = evaluate_batch(manifest, out_jsonl=out)
+    assert len(result.records) == 67
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_4_JSONL_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_matches_brute_force_oracle():
 
 
 def test_best_subplan_pi0_is_single_invalid_action(pi0_plan, gt_plan, bw_problem):
-    pi2 = best_subplan(pi0_plan, gt_plan, bw_problem, label="pi2")
+    pi2 = best_subplan(pi0_plan, lcs_analyze(pi0_plan, gt_plan), bw_problem, label="pi2")
     assert pi2.keys() == (("pick-up", ("c",)),)
     assert not is_valid(pi2, bw_problem)
 
@@ -97,7 +97,7 @@ def test_best_subplan_pi1_recovers_gt(bw_domain, bw_problem, gt_plan):
         "(unstack b c)\n(put-down b)\n(pick-up c)\n(stack c b)\n"
         "(unstack c b)\n(put-down c)\n(pick-up a)\n(stack a c)\n",
         bw_domain, bw_problem)
-    pi3 = best_subplan(pi1, gt_plan, bw_problem, label="pi3")
+    pi3 = best_subplan(pi1, lcs_analyze(pi1, gt_plan), bw_problem, label="pi3")
     assert pi3.keys() == gt_plan.keys()
     assert is_valid(pi3, bw_problem)
 
@@ -105,19 +105,19 @@ def test_best_subplan_pi1_recovers_gt(bw_domain, bw_problem, gt_plan):
 def test_best_subplan_prefers_valid_substring(bw_domain, bw_problem, gt_plan):
     # The whole ground truth embedded contiguously is a valid substring plan.
     candidate = Plan(gt_plan.actions + (act("teleport", "x"),))
-    chosen = best_subplan(candidate, gt_plan, bw_problem)
+    chosen = best_subplan(candidate, lcs_analyze(candidate, gt_plan), bw_problem)
     assert chosen.keys() == gt_plan.keys()
     assert is_valid(chosen, bw_problem)
 
 
 def test_best_subplan_zero_overlap_is_empty(bw_problem, gt_plan):
     candidate = plan_of("alpha", "beta")
-    chosen = best_subplan(candidate, gt_plan, bw_problem)
+    chosen = best_subplan(candidate, lcs_analyze(candidate, gt_plan), bw_problem)
     assert len(chosen) == 0
     assert not is_valid(chosen, bw_problem)  # goal does not hold in init
 
 
 def test_best_subplan_output_is_subsequence_of_input(pi0_plan, gt_plan, bw_problem):
-    chosen = best_subplan(pi0_plan, gt_plan, bw_problem)
+    chosen = best_subplan(pi0_plan, lcs_analyze(pi0_plan, gt_plan), bw_problem)
     it = iter(pi0_plan.keys())
     assert all(key in it for key in chosen.keys())

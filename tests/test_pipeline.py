@@ -12,7 +12,7 @@ import pytest
 from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
 from planeval.config import _KEY_MAP
-from planeval.errors import ConfigError, InstanceError, ManifestError
+from planeval.errors import ConfigError, InstanceError, ManifestError, ZeroLengthGroundTruth
 from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 
@@ -30,7 +30,7 @@ BW_PROBLEM_PATH = FIXTURES / "blocksworld" / "instance-10.pddl"
 def test_record_running_example(bw_domain, bw_problem):
     record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                                gt_plan_text=INSTANCE_10_GT,
-                               instance_id="10", model="m", prompt_type="p").to_json()
+                               instance_id="10", model="m", prompt_type="p")
     assert record["schema"] == 2
     assert record["gt_length"] == 6
     assert set(record["flags"]) == {"generation_missing", "transform_budget_exceeded"}
@@ -55,14 +55,14 @@ def test_record_running_example(bw_domain, bw_problem):
 
 
 def test_record_with_solved_gt(bw_domain, bw_problem):
-    record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
+    record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)
     assert record["gt_length"] == 6
     assert record["pi0"]["stv"] == 7
 
 
 def test_record_perfect_candidate(bw_domain, bw_problem):
     record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_GT,
-                               gt_plan_text=INSTANCE_10_GT).to_json()
+                               gt_plan_text=INSTANCE_10_GT)
     for key in ("pi0", "pi1", "pi2", "pi3", "pi4"):
         assert record[key]["valid"] is True
     assert record["pi0"]["score"]["total"] == 6.0
@@ -72,7 +72,7 @@ def test_record_perfect_candidate(bw_domain, bw_problem):
 
 def test_record_defaulted_empty_plan(bw_domain, bw_problem):
     record = evaluate_instance(bw_domain, bw_problem, None,
-                               gt_plan_text=INSTANCE_10_GT).to_json()
+                               gt_plan_text=INSTANCE_10_GT)
     assert record["flags"]["generation_missing"] is True
     pi0 = record["pi0"]
     assert pi0["valid"] is False
@@ -103,12 +103,58 @@ def test_invalid_gt_is_a_check_gt_error(bw_domain, bw_problem, gt_text):
     assert excinfo.value.stage == "check-gt"
 
 
+def test_each_plan_is_simulated_and_analysed_once(monkeypatch, bw_domain, bw_problem):
+    # Six plans (GT, pi0 to pi4) and two LCS analyses (pi0 and pi1 against the
+    # GT).  Simulations through is_valid and inside the pi1 search do not count.
+    from planeval import lcs, recovery, simulator
+
+    counts = {"simulate": 0, "lcs_analyze": 0}
+    for original, modules in ((simulator.simulate, (pipeline, recovery)),
+                              (lcs.lcs_analyze, (pipeline, lcs))):
+        def counting(*args, _original=original, **kwargs):
+            counts[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if hasattr(module, original.__name__):
+                monkeypatch.setattr(module, original.__name__, counting)
+    evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                      gt_plan_text=INSTANCE_10_GT)
+    assert counts == {"simulate": 6, "lcs_analyze": 2}
+
+
+def test_empty_gt_gives_one_score_error_per_row(tmp_path, monkeypatch, bw_domain):
+    # The goal holds in init, so the solved GT is empty and the length
+    # penalty is undefined, with or without a candidate plan.
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    problem = make_bw_problem(bw_domain, [["a", "b"]], [["a", "b"]], name="bw-trivial")
+    (tmp_path / "trivial.pddl").write_text(problem_to_pddl(problem, bw_domain))
+    (tmp_path / "candidate.plan").write_text("(unstack b a)\n(put-down b)\n")
+    manifest = write_manifest(tmp_path, [
+        {"instance_id": instance_id, "domain_path": str(BW_DOMAIN_PATH),
+         "problem_path": "trivial.pddl", "plan_path": plan_path,
+         "gt_plan_path": "", "model": "m", "prompt_type": "p"}
+        for instance_id, plan_path in (("candidate", "candidate.plan"),
+                                       ("missing", "absent.plan"))
+    ])
+    result = evaluate_batch(manifest)
+    assert result.failed_rows == ["candidate", "missing"]
+    for record in result.records:
+        assert record["error"] == {
+            "stage": "score",
+            "message": "length penalty undefined for an empty ground truth"}
+    with pytest.raises(InstanceError) as excinfo:
+        evaluate_instance(bw_domain, problem, None)
+    assert excinfo.value.stage == "score"
+    assert isinstance(excinfo.value.cause, ZeroLengthGroundTruth)
+
+
 def test_eight_block_tower_recovers_from_gt_file(bw_domain):
     blocks = [f"b{i}" for i in range(1, 9)]
     problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
     gt_text = "".join(f"(pick-up {top})\n(stack {top} {below})\n"
                       for below, top in zip(blocks, blocks[1:]))
-    record = evaluate_instance(bw_domain, problem, None, gt_plan_text=gt_text).to_json()
+    record = evaluate_instance(bw_domain, problem, None, gt_plan_text=gt_text)
     assert record["gt_length"] == 14
     assert record["pi4"]["valid"] is True
     assert record["comp_length"] == 14.0
@@ -288,8 +334,8 @@ def test_gt_cache_keys_on_external_planner(tmp_path):
 def test_gt_cache_is_shared_by_evaluate_instance(monkeypatch, bw_domain, bw_problem):
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
     calls = counted(monkeypatch, "solve_optimal")
-    first = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
-    second = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE).to_json()
+    first = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)
+    second = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)
     assert first == second
     assert len(calls) == 1
 
@@ -582,7 +628,11 @@ def test_cli_validate(tmp_path, capsys):
                      "--problem", str(BW_PROBLEM_PATH), "--plan", str(plan_path),
                      "--trace-out", str(trace_path)])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == ('{"executable": false, "failure": {"action": "(unstack a c)", "index": 1, '
+                   '"unmet": ["(on a c)"], "unresolvable": false}, "lea": 0, "length": 8, '
+                   '"valid": false}\n')
+    payload = json.loads(out)
     assert payload["valid"] is False
     assert payload["lea"] == 0
     assert payload["failure"]["index"] == 1

@@ -107,16 +107,17 @@ def test_divergence_prefers_shortest_prefix(bw_domain, bw_problem, gt_plan):
 
 
 def test_recover_pi0(pi0_plan, gt_plan, bw_problem):
-    outcome = recover(pi0_plan, gt_plan, bw_problem)
+    outcome = recover(pi0_plan, gt_plan, simulate(pi0_plan, bw_problem),
+                      simulate(gt_plan, bw_problem))
     assert len(outcome.corr) == 0
     assert len(outcome.comp) == 6
     assert outcome.final.keys() == outcome.comp.keys()
     assert is_valid(outcome.final, bw_problem)
-    assert outcome.divergence_state_index == 0
 
 
 def test_recover_valid_plan_is_identity(gt_plan, bw_problem):
-    outcome = recover(gt_plan, gt_plan, bw_problem)
+    gt_sim = simulate(gt_plan, bw_problem)
+    outcome = recover(gt_plan, gt_plan, gt_sim, gt_sim)
     assert outcome.corr.keys() == gt_plan.keys()
     assert len(outcome.comp) == 0
     assert outcome.final.keys() == gt_plan.keys()
@@ -127,7 +128,8 @@ def test_recover_from_matching_prefix(bw_domain, bw_problem, gt_plan):
     # completion is oracle-optimal from the reached state.
     plan = Plan(gt_plan.actions[:2] + (GroundAction("warp", ("x",), resolvable=False,
                                                     issue="unknown action name"),))
-    outcome = recover(plan, gt_plan, bw_problem)
+    outcome = recover(plan, gt_plan, simulate(plan, bw_problem),
+                      simulate(gt_plan, bw_problem))
     assert len(outcome.corr) == 2
     reached = simulate(outcome.corr, bw_problem).final_state
     oracle_problem = ProblemModel(bw_problem.name, bw_problem.domain_name,

@@ -91,23 +91,22 @@ def test_potential_running_example():
     # (278/15 + 77/3) / 16 is exactly 2.7625, which also lands within 0.01
     # of the rounded repeating decimal 2.766...
     result = potential(Fraction(278, 15), Fraction(77, 3), 8, False)
-    assert result.potential == Fraction(221, 80)
-    assert abs(float(result.potential) - 2.7625) < 1e-9
-    assert abs(float(result.potential) - 2.7666) < 0.01
-    assert result.validity_reward == 0
+    assert result == Fraction(221, 80)
+    assert abs(float(result) - 2.7625) < 1e-9
+    assert abs(float(result) - 2.7666) < 0.01
 
 
 def test_potential_degenerate_mean():
     result = potential(Fraction(9), Fraction(9), 3, False)
-    assert result.potential == 3
+    assert result == 3
 
 
 def test_potential_validity_reward():
     result = potential(Fraction(6), Fraction(6), 6, True)
-    assert result.potential == 2  # 1 per action + reward 1
-    assert result.validity_reward == 1
+    assert result == 2  # 1 per action + reward 1
+    assert potential(Fraction(6), Fraction(6), 6, False) == 1
     custom = potential(Fraction(6), Fraction(6), 6, True, reward=Fraction(1, 2))
-    assert custom.potential == Fraction(3, 2)
+    assert custom == Fraction(3, 2)
 
 
 def test_potential_requires_nonempty_plan():

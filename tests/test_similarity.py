@@ -174,7 +174,7 @@ def test_pairing_duplicate_candidates_not_paired_twice(gt_plan):
 
 def test_np_aqm_running_example(pi0_plan, gt_plan):
     pairing, aqm = pair_actions(pi0_plan, gt_plan)
-    np_aqm = non_positional_aqm(aqm, pairing)
+    np_aqm = non_positional_aqm(pi0_plan, gt_plan, aqm)
     assert np_aqm.label_names() == (
         "same_act", "same_act", "correct", "same_act",
         "diff_act", "same_act", "same_act", "same_act",
@@ -183,14 +183,14 @@ def test_np_aqm_running_example(pi0_plan, gt_plan):
 
 def test_np_aqm_all_correct_unchanged(gt_plan):
     pairing, aqm = pair_actions(gt_plan, gt_plan)
-    assert non_positional_aqm(aqm, pairing).labels == aqm.labels
+    assert non_positional_aqm(gt_plan, gt_plan, aqm).labels == aqm.labels
 
 
 def test_np_aqm_keeps_unrelated_hallucination_redundant(bw_domain, bw_problem, gt_plan):
     candidate = Plan((*gt_plan.actions, act("teleport", "x", "y")))
     pairing, aqm = pair_actions(candidate, gt_plan)
     assert aqm.labels[-1] is QualityLabel.REDUNDANT
-    np_aqm = non_positional_aqm(aqm, pairing)
+    np_aqm = non_positional_aqm(candidate, gt_plan, aqm)
     assert np_aqm.labels[-1] is QualityLabel.REDUNDANT
 
 

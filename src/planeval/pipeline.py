@@ -95,9 +95,9 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     marks a failed generation and is evaluated as the empty plan.  Any stage
     failure is wrapped in :class:`InstanceError` naming the stage.
 
-    Each plan (the ground truth and pi0 to pi4) is simulated once, and pi0
-    and pi1 are LCS-analysed once; the stages that need those results are
-    handed them.
+    Each distinct action sequence among the ground truth and pi0 to pi4 is
+    simulated once, and pi0 and pi1 are LCS-analysed once; the stages that
+    need those results are handed them.
     """
     if config is None:
         config = PipelineConfig()
@@ -133,8 +133,18 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         raise InstanceError("check-gt", InvalidGroundTruth(
             f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
+    sims = {gt_plan.actions: sim_gt}
+
+    def simulated(plan: Plan) -> SimulationResult:
+        """The simulation of *plan*, shared by every plan of this row with the
+        same actions."""
+        sim = sims.get(plan.actions)
+        if sim is None:
+            sim = sims[plan.actions] = simulate(plan, problem)
+        return sim
+
     pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, label="pi0")
-    sim0 = simulate(pi0, problem)
+    sim0 = simulated(pi0)
 
     pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, provider=provider)
     np_aqm = non_positional_aqm(pi0, gt_plan, aqm, provider=provider)
@@ -161,7 +171,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     for key, plan in (("pi1", pi1), ("pi2", pi2), ("pi3", pi3)):
         pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, provider=provider)
         steps = stage("stv", steps_to_validity, plan, aqm_k, pairing_k, gt_plan, problem)
-        metrics[key] = _plan_metrics(plan, simulate(plan, problem), stv=len(steps))
+        metrics[key] = _plan_metrics(plan, simulated(plan), stv=len(steps))
 
     # Potential per action; the empty plan is defaulted on the GT length.
     n_eff = len(pi0) if len(pi0) > 0 else len(gt_plan)
@@ -196,7 +206,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "transform_penalty": float(variant1.penalty),
         "penalized_score": float(variant1.penalized),
     })
-    metrics["pi4"] = _plan_metrics(outcome.final, simulate(outcome.final, problem))
+    metrics["pi4"] = _plan_metrics(outcome.final, simulated(outcome.final))
 
     return {
         "schema": SCHEMA_VERSION,

@@ -7,7 +7,10 @@ computed in unit-cost layers of the delete relaxation: each layer fires
 every action whose preconditions have all been reached, and h_max is the
 first layer whose reached atoms cover the goal.  That is the value of the
 delete-relaxation fixpoint (Bonet & Geffner 2001), reached in one pass per
-layer instead of repeated sweeps over every action.
+layer instead of repeated sweeps over every action.  The layers a reached
+set still needs depend on that set alone, so each search remembers them for
+every set met after two or more layers (most states' sets agree from there
+on) and forgets them when the search ends; the h values are unchanged.
 """
 
 from __future__ import annotations
@@ -81,34 +84,47 @@ class _GroundTask:
         self.atom_index = atom_index
         # (precondition, add) mask pairs: all the delete relaxation reads.
         self.relaxed = [(pre, add) for _, pre, add, _ in self.encoded]
+        # hmax's layers still needed from a reached set (INF included).
+        self.layers_to_goal: dict[int, float] = {}
 
 
 def hmax(task: _GroundTask, state: int) -> float:
     """Admissible delete-relaxation heuristic: max over goal atom levels.
 
-    Layer k fires every action not yet fired whose preconditions are all
-    reached by layer k and adds its add effects to layer k + 1, so an atom
-    is first reached in the layer equal to its h_max level.  The result is
-    the first layer that covers the goal, or ``INF`` once a layer adds
-    nothing.
+    Layer k fires every action whose preconditions are all reached by layer
+    k and adds its add effects to layer k + 1, so an atom is first reached
+    in the layer equal to its h_max level.  The result is the first layer
+    that covers the goal, or ``INF`` once a layer adds nothing.
+
+    Every set reached after two or more layers that does not cover the goal
+    is stored in ``task.layers_to_goal`` with the layers it still needs, and
+    a later call that reaches a stored set stops there.  The store lives as long as
+    *task*, i.e. one search.
     """
     goal = task.goal_mask
+    relaxed = task.relaxed
+    memo = task.layers_to_goal
     reached = state
-    pending = task.relaxed
     layer = 0.0
+    chain: list[int] = []  # chain[i] is the set reached after 2 + i layers
     while goal & ~reached:
+        if layer >= 2.0:
+            known = memo.get(reached)
+            if known is not None:
+                layer += known
+                break
+            chain.append(reached)
         grown = reached
-        waiting = []
-        for pre, add in pending:
+        for pre, add in relaxed:
             if reached & pre == pre:
                 grown |= add
-            else:
-                waiting.append((pre, add))
         if grown == reached:
-            return INF
+            layer = INF
+            break
         reached = grown
-        pending = waiting
         layer += 1.0
+    for i, passed in enumerate(chain):
+        memo[passed] = layer - 2.0 - i
     return layer
 
 

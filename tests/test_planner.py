@@ -1,13 +1,17 @@
 from __future__ import annotations
 
-import pytest
+import functools
+import random
 
-from planeval import is_valid, replan_from, simulate, solve_optimal
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from planeval import is_valid, parse_domain, parse_problem, replan_from, simulate, solve_optimal
 from planeval.errors import PlanningTimeout, PlanningUnsolvable
 from planeval.pddl import ProblemModel, plan_to_text
-from planeval.planner import INF, _GroundTask, ground_all_actions, hmax
+from planeval.planner import INF, _GroundTask, _search, ground_all_actions, hmax
 
-from conftest import make_bw_problem
+from conftest import FIXTURES, make_bw_problem
 from oracles import (
     bfs_distances,
     bfs_optimal_cost,
@@ -169,6 +173,95 @@ def test_tie_breaking_picks_the_pinned_gt(name, bw_domain, logistics_domain,
     plan = solve_optimal(problem, domain)
     assert len(plan) == bfs_optimal_cost(problem, domain)
     assert plan_to_text(plan) == expected
+
+
+def random_towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:
+    towers: list[list[str]] = []
+    for block in rng.sample(blocks, len(blocks)):
+        if towers and rng.random() < 0.6:
+            towers[-1].append(block)
+        else:
+            towers.append([block])
+    return towers
+
+
+def atoms_of(task, mask: int) -> frozenset:
+    return frozenset(atom for atom, i in task.atom_index.items() if mask >> i & 1)
+
+
+def search_trace(task, heuristic) -> tuple[list, list[int]]:
+    """The plan A* finds with *heuristic*, and the states it evaluated, in order."""
+    evaluated: list[int] = []
+
+    def counting(task, state):
+        evaluated.append(state)
+        return heuristic(task, state)
+
+    return _search(task, task.init_mask, 60.0, counting), evaluated
+
+
+def test_search_is_the_same_with_the_memo(bw_domain, logistics_domain,
+                                          logistics_problems):
+    # Same plan and same heuristic calls, state for state, as with the
+    # memo-free fixpoint oracle: the memo changes no h value.
+    cases = []
+    for name, (towers, _) in sorted(PINNED_GTS.items()):
+        if towers is None:
+            cases.append((logistics_problems[name], logistics_domain))
+        else:
+            cases.append((make_bw_problem(bw_domain, *towers), bw_domain))
+    rng = random.Random(7)
+    for n in (4, 4, 5, 5):
+        blocks = [f"b{i}" for i in range(1, n + 1)]
+        cases.append((make_bw_problem(bw_domain, random_towers(rng, blocks),
+                                      random_towers(rng, blocks)), bw_domain))
+
+    def oracle(task, state):
+        return hmax_oracle(task, atoms_of(task, state), atoms_of(task, task.goal_mask))
+
+    for problem, domain in cases:
+        plan, evaluated = search_trace(_GroundTask(domain, problem), hmax)
+        expected_plan, expected = search_trace(_GroundTask(domain, problem), oracle)
+        assert plan == expected_plan
+        assert evaluated == expected
+
+
+@functools.cache
+def shared_task(case: str):
+    """One task per case, kept across examples so that its hmax memo is
+    shared: (task, goal, reachable states)."""
+    if case == "log-02":
+        domain = parse_domain((FIXTURES / "logistics" / "domain.pddl").read_text())
+        problem = parse_problem((FIXTURES / "logistics" / "log-02.pddl").read_text(), domain)
+    elif case == "tower":
+        domain = parse_domain((FIXTURES / "blocksworld" / "domain.pddl").read_text())
+        blocks = ("b1", "b2", "b3", "b4")
+        problem = bw_table_problem(domain, blocks, config_atoms((blocks,)))
+    else:
+        # The unsolvable and the unreachable goal of the fixpoint-oracle test.
+        domain = parse_domain((FIXTURES / "blocksworld" / "domain.pddl").read_text())
+        problem = parse_problem((FIXTURES / "blocksworld" / "instance-10.pddl").read_text(),
+                                domain)
+        goal = {"on-a-a": {("on", "a", "a")},
+                "undeclared": {("on", "a", "b"), ("ontable", "z")}}[case]
+        problem = ProblemModel(problem.name, problem.domain_name, problem.objects,
+                               problem.init, frozenset(goal))
+    task = _GroundTask(domain, problem)
+    return task, problem.goal, sorted(bfs_distances(problem.init, task.actions), key=sorted)
+
+
+@pytest.mark.parametrize("case", ["tower", "log-02", "on-a-a", "undeclared"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hmax_memo_never_leaks_between_states(case, data):
+    # Arbitrary atom sets, each a reachable state with any atoms flipped,
+    # evaluated in the drawn order against one task and its memo.
+    task, goal, reachable = shared_task(case)
+    atoms = sorted(task.atom_index)
+    draws = st.tuples(st.sampled_from(reachable), st.sets(st.sampled_from(atoms)))
+    for base, flipped in data.draw(st.lists(draws, min_size=1, max_size=8)):
+        state = base ^ flipped
+        assert hmax(task, state_mask(task, state)) == hmax_oracle(task, state, goal)
 
 
 def test_returned_plans_are_always_valid(bw_domain, logistics_domain, logistics_problems):

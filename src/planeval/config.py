@@ -20,7 +20,7 @@ class PipelineConfig:
     # transform.*
     c_shift: Fraction = Fraction(1)
     c_map: Fraction = Fraction(1)
-    budget: int = 1_000_000
+    budget: int = 100_000
     # scoring.*
     validity_reward: Fraction = Fraction(1)
     # similarity.*: 'exact' keeps name credit strict, 'char_lcs' enables

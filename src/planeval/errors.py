@@ -88,7 +88,7 @@ class NonBijectiveMapping(PlanEvalError):
 
 
 class SearchBudgetExceeded(PlanEvalError):
-    """Variant enumeration hit the configured cap; carries the best found so far."""
+    """The pi1 search hit its node budget; carries the best variant visited."""
 
     def __init__(self, message: str, best):
         self.best = best

@@ -96,7 +96,8 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     failure is wrapped in :class:`InstanceError` naming the stage.
 
     Each distinct action sequence among the ground truth and pi0 to pi4 is
-    simulated once, and pi0 and pi1 are LCS-analysed once; the stages that
+    simulated once, each distinct one among pi0 to pi3 is paired with the
+    ground truth once, and pi0 and pi1 are LCS-analysed once; the stages that
     need those results are handed them.
     """
     if config is None:
@@ -168,10 +169,13 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
 
     steps0 = stage("stv", steps_to_validity, pi0, aqm, pairing, gt_plan, problem)
     metrics = {"pi0": _plan_metrics(pi0, sim0, stv=len(steps0))}
+    stv = {pi0.actions: len(steps0)}
     for key, plan in (("pi1", pi1), ("pi2", pi2), ("pi3", pi3)):
-        pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, provider=provider)
-        steps = stage("stv", steps_to_validity, plan, aqm_k, pairing_k, gt_plan, problem)
-        metrics[key] = _plan_metrics(plan, simulated(plan), stv=len(steps))
+        if plan.actions not in stv:
+            pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, provider=provider)
+            stv[plan.actions] = len(stage("stv", steps_to_validity, plan, aqm_k, pairing_k,
+                                          gt_plan, problem))
+        metrics[key] = _plan_metrics(plan, simulated(plan), stv=stv[plan.actions])
 
     # Potential per action; the empty plan is defaulted on the GT length.
     n_eff = len(pi0) if len(pi0) > 0 else len(gt_plan)

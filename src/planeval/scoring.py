@@ -8,7 +8,7 @@ time.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -112,71 +112,93 @@ def normalize_score(breakdown: ScoreBreakdown, plan: Plan, gt: Plan) -> Fraction
     return value if value < ONE else ONE
 
 
-#: What one identical-action pair can earn: the flat pair score, the pair
-#: bonus, and a place in both the substring and the subsequence run.
-SHARED_ACTION_CEILING = (FLAT_MATCH_SCORE + PAIR_BONUS + SUBSTRING_BONUS_PER_ACTION
-                         + SUBSEQUENCE_BONUS_PER_ACTION)
+#: What one identical-action pair can earn besides its place in the substring
+#: run: the flat pair score, the pair bonus and a place in the subsequence run.
+SHARED_ACTION_CEILING = FLAT_MATCH_SCORE + PAIR_BONUS + SUBSEQUENCE_BONUS_PER_ACTION
 
 
 def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
                   provider: NameSimilarityProvider
                   ) -> Callable[[tuple[str, ...]], Fraction]:
     """Upper bound on the raw total of any invalid variant of *plan*: a
-    permutation of its objects *objs* (sorted), then a circular shift.
+    permutation of its objects *objs*, then a circular shift.
 
     The returned function takes the images of ``objs[:k]`` and bounds the
-    variants of every mapping that extends them, whatever the shift.  Of the
-    ``min(count_variant(k), count_gt(k))`` identical pairs per key ``k``,
-    each earns at most :data:`SHARED_ACTION_CEILING` (both LCS runs are no
-    longer than the number of such pairs).  Every other action earns at most
-    its best similarity to any ground-truth action, plus the pair bonus if
-    its name occurs in the ground truth.  A mapping changes neither names
-    nor arities, and since ``F + M`` never exceeds the smaller arity, that
-    best similarity is reached with identical arguments, so it is computed
-    once per (name, arity), when the bound first needs it.  An action with
-    an unassigned argument counts the larger amount if a ground-truth action
-    agrees with it.
+    variants of every mapping that extends them, whatever the shift.  An
+    action that can still equal a ground-truth action, its unassigned
+    arguments taking unused images, earns at most
+    :data:`SHARED_ACTION_CEILING`.  Any action earns at most its
+    best similarity to a ground-truth action, computed once per (name,
+    arity, j), since ``F + M`` never exceeds either arity nor the number
+    ``j`` of its arguments that can still be ground-truth objects, plus the
+    pair bonus if its name occurs in the ground truth.  The substring bonus
+    is at most twice the longest cyclic run of actions each of which can
+    equal the ground-truth action after the one its predecessor can.  The
+    bound is summed in integers over one denominator, and the caps are
+    computed at the first call.
     """
-    base = len(plan) - length_penalty(len(plan), len(gt))
-    gt_counts = Counter(gt.keys())
-    gt_names = {action.name for action in gt}
-    gt_args: dict[tuple[str, int], list[tuple[str, ...]]] = {}
-    for action in gt:
-        gt_args.setdefault((action.name, len(action.args)), []).append(action.args)
+    gt_targets: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
+    for index, action in enumerate(gt):
+        gt_targets.setdefault((action.name, len(action.args)), []).append(
+            (index, action.args))
+    gt_objects = {arg for action in gt for arg in action.args}
+    gt_images = gt_objects.intersection(objs)  # those a mapping can produce
+    # Scaled by one denominator at the first call: the base, the shared
+    # ceiling, the substring bonus and the cap per (name, arity, j).
+    scaled: list[int] = []
+    caps: dict[tuple[str, int, int], int] = {}
 
-    def shaped(name: str, arity: int) -> GroundAction:
-        return GroundAction(name, tuple(f"?{i}" for i in range(arity)))
-
-    caps: dict[tuple[str, int], Fraction] = {}
-
-    def cap(shape: tuple[str, int]) -> Fraction:
-        if shape not in caps:
-            best_similarity = max(action_similarity(shaped(*shape), shaped(*gt_shape),
-                                                    provider)
-                                  for gt_shape in gt_args)
-            caps[shape] = best_similarity + (PAIR_BONUS if shape[0] in gt_names
-                                             else ZERO)
-        return caps[shape]
+    def scale() -> None:
+        gt_names = {action.name for action in gt}
+        fractions: dict[tuple[str, int, int], Fraction] = {}
+        for name, arity in {(action.name, len(action.args)) for action in plan}:
+            # Only a plan object outside the ground truth makes j < arity.
+            for j in range(arity + 1) if len(gt_images) < len(objs) else [arity]:
+                similarity = max(
+                    action_similarity(
+                        GroundAction(name, tuple(f"?{i}" for i in range(arity))),
+                        GroundAction(other, tuple(f"?{i}" if i < j else f"!{i}"
+                                                  for i in range(other_arity))),
+                        provider)
+                    for other, other_arity in gt_targets)
+                fractions[name, arity, j] = similarity + (PAIR_BONUS if name in gt_names
+                                                          else ZERO)
+        constants = [len(plan) - length_penalty(len(plan), len(gt)),
+                     SHARED_ACTION_CEILING, SUBSTRING_BONUS_PER_ACTION]
+        denominator = math.lcm(*(value.denominator
+                                 for value in [*constants, *fractions.values()]))
+        scaled.extend([*(int(value * denominator) for value in constants), denominator])
+        caps.update((key, int(value * denominator)) for key, value in fractions.items())
 
     def ceiling(images: tuple[str, ...]) -> Fraction:
+        if not scaled:
+            scale()
+        base, shared, substring, denominator = scaled
         image = dict(zip(objs, images))
-        known: Counter = Counter()
-        rest: Counter = Counter()  # (may join a pair, shape) -> actions
+        free = gt_images.difference(images)
+        total = base
+        positions: list[list[int]] = []  # per action, the ground-truth indices it may equal
         for action in plan:
             args = tuple(image.get(arg) for arg in action.args)
-            if None not in args:
-                known[action.name, args] += 1
+            cap = caps[action.name, len(args), sum(
+                arg in gt_objects if arg is not None else bool(free) for arg in args)]
+            matches = [index for index, target in gt_targets.get((action.name, len(args)), ())
+                       if all(dst == other if dst is not None else other in free
+                              for dst, other in zip(args, target))]
+            positions.append(matches)
+            total += max(cap, shared) if matches else cap
+        # Neighbours in a substring run equal neighbours in the ground truth.
+        run = longest = 0
+        previous: list[int] = []
+        for current in positions + positions:
+            if not current:
+                run = 0
+            elif run and any(index + 1 in current for index in previous):
+                run += 1
             else:
-                shape = (action.name, len(args))
-                rest[any(all(arg in (None, other) for arg, other in zip(args, target))
-                         for target in gt_args.get(shape, ())), shape] += 1
-        shared = 0
-        for key, count in known.items():
-            pairs = min(count, gt_counts[key])
-            shared += pairs
-            rest[False, (key[0], len(key[1]))] += count - pairs
-        return base + SHARED_ACTION_CEILING * shared + sum(
-            (max(SHARED_ACTION_CEILING, cap(shape)) if joins else cap(shape)) * count
-            for (joins, shape), count in rest.items())
+                run = 1
+            longest = max(longest, run)
+            previous = current
+        return Fraction(total + substring * min(longest, len(plan)), denominator)
 
     return ceiling

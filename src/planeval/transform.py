@@ -1,28 +1,23 @@
 """Plan variants via circular shifts and consistent parameter remapping.
 
-The variant search enumerates every (mapping, shift) combination while the
-plan's object count stays at or below ``EXACT_SEARCH_MAX_OBJECTS``; above
-it, only mappings that make at least one action land exactly on its
-ground-truth counterpart under some shift are generated (plus the
-identity), and that search is not exact.  Mapping is applied first, then
+The variant search is exact: it ranks every (mapping, shift) combination of
+the plan's objects, whatever their number.  Mapping is applied first, then
 the shift.
 
-The exact search scores few variants.  Variants are simulated
-instead: all have the plan's length, so all valid ones share one raw score
-and rank by penalty and tie-break alone, and any valid variant beats every
-invalid one.  An invalid variant is scored in full only when an upper bound
-on its score, which depends on the mapping alone, says it can still beat
-the best variant scored so far.  Mappings are built depth first, and one
-whose completions all lose is skipped unremapped.
+It scores few variants.  Variants are simulated instead: all have the
+plan's length, so all valid ones share one raw score and rank by penalty
+and tie-break alone, and any valid variant beats every invalid one.  An
+invalid variant is scored in full only when an upper bound on its score,
+which depends on the mapping alone, says it can still beat the best variant
+scored so far.  Mappings are built depth first, and one whose completions
+all lose is skipped unremapped.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .config import PipelineConfig
 from .errors import ConfigError, NonBijectiveMapping, SearchBudgetExceeded
@@ -31,9 +26,6 @@ from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
 from .scoring import ScoreBreakdown, plan_score, score_ceiling
 from .similarity import NameSimilarityProvider, make_similarity_cache, pair_actions
 from .simulator import is_valid
-
-# Above this many plan objects, only aligned mappings are tried.
-EXACT_SEARCH_MAX_OBJECTS = 6
 
 
 @dataclass(frozen=True)
@@ -100,88 +92,79 @@ def remap_params(plan: Plan, mapping: Mapping[str, str],
 
 
 # ---------------------------------------------------------------------------
-# Candidate mapping generation
+# Mapping enumeration
 # ---------------------------------------------------------------------------
 
 
 def _assignments(objs: list[str], skip: Callable[[tuple[str, ...]], bool]
                  ) -> Iterator[tuple[str, ...]]:
-    """Permutations of the sorted *objs* in lexicographic order, depth first;
-    a prefix for which *skip* is true is passed over with its completions."""
+    """Permutations of *objs*, as the images of ``objs[0]``, ``objs[1]``, ...,
+    depth first: each object tries its own image first, then the others in
+    *objs* order.  A prefix for which *skip* is true is passed over with its
+    completions."""
     stack: list[tuple[str, ...]] = [()]
     while stack:
         images = stack.pop()
         if images and skip(images):
             continue
-        if len(images) == len(objs):
+        depth = len(images)
+        if depth == len(objs):
             yield images
-        else:
-            stack.extend(images + (obj,) for obj in reversed(objs) if obj not in images)
+            continue
+        own = objs[depth]
+        stack.extend(images + (obj,) for obj in reversed(objs)
+                     if obj != own and obj not in images)
+        if own not in images:
+            stack.append(images + (own,))
 
 
-def _aligned_partial_maps(plan: Plan, gt: Plan, objs: set[str],
-                          shifts: Iterable[int]) -> Iterator[dict[str, str]]:
-    """Partial maps that make some candidate action equal its ground-truth
-    counterpart positionally under one of the shifts."""
-    length = len(plan)
-    seen: set[tuple] = set()
-    for shift in shifts:
-        for i in range(length):
-            j = (i + shift) % length
-            if j >= len(gt):
-                continue
-            cand, target = plan[i], gt[j]
-            if cand.name != target.name or len(cand.args) != len(target.args):
-                continue
-            partial: dict[str, str] = {}
-            ok = True
-            for src, dst in zip(cand.args, target.args):
-                if dst not in objs or partial.get(src, dst) != dst:
-                    ok = False
-                    break
-                partial[src] = dst
-            if not ok or len(set(partial.values())) != len(partial):
-                continue
-            key = tuple(sorted(partial.items()))
-            if key not in seen:
-                seen.add(key)
-                yield partial
+def _no_valid_completion(plan: Plan, domain: DomainModel, problem: ProblemModel,
+                         objs: list[str]) -> Callable[[tuple[str, ...]], bool]:
+    """A test on the images of ``objs[:k]`` that is true only when no mapping
+    extending them makes any shift of *plan* valid.
 
+    That holds when an action name, arity or object is unknown, when an
+    assigned object's image has a type that one of its parameters does not
+    admit, or when a goal atom missing from the initial state is added by no
+    plan action's schema under the partial mapping, an unassigned argument
+    taking any image not yet used.
+    """
+    declared = set(objs) <= problem.objects.keys() and all(
+        (schema := domain.schema(action.name)) is not None
+        and schema.arity == len(action.args) for action in plan)
+    if not declared:
+        return lambda images: True
+    objects = set(objs)
+    of_type = {name: {obj for obj in objs if domain.is_subtype(problem.objects[obj], name)}
+               for name in domain.types}
+    # The images each object may take: those every parameter it fills admits.
+    admitted = {obj: objects for obj in objs}
+    # Per goal atom, the partial maps under which some plan action adds it.
+    supports: dict[tuple, set[tuple[tuple[str, str], ...]]] = {
+        goal: set() for goal in problem.goal - problem.init}
+    for action in plan:
+        schema = domain.schema(action.name)
+        binding = {param.name: arg for param, arg in zip(schema.params, action.args)}
+        for arg, param in zip(action.args, schema.params):
+            admitted[arg] = admitted[arg] & of_type[param.type]
+        for effect in schema.add_effects:
+            for goal, options in supports.items():
+                need: dict[str, str] = {}
+                if effect[0] == goal[0] and all(
+                        target in objects and need.setdefault(binding[term], target) == target
+                        for term, target in zip(effect[1:], goal[1:])):
+                    options.add(tuple(need.items()))
 
-def _complete_partial(partial: dict[str, str], objs: list[str]) -> Iterator[dict[str, str]]:
-    """Extend an injective partial map to permutations, identity-first."""
-    used_range = set(partial.values())
-    rest_domain = [o for o in objs if o not in partial]
-    fixed = dict(partial)
-    displaced: list[str] = []
-    for obj in rest_domain:
-        if obj not in used_range:
-            fixed[obj] = obj
-        else:
-            displaced.append(obj)
-    free_range = sorted(set(objs) - used_range - {o for o in rest_domain if o not in used_range})
-    if not displaced:
-        yield fixed
-        return
-    # Small by construction (bounded by the aligned action's arity), but cap
-    # the blowup defensively with the single canonical pairing.
-    if len(displaced) > 6:
-        yield {**fixed, **dict(zip(displaced, free_range))}
-        return
-    for perm in itertools.permutations(free_range):
-        yield {**fixed, **dict(zip(displaced, perm))}
+    def dead(images: tuple[str, ...]) -> bool:
+        image = dict(zip(objs, images))
+        if any(dst not in admitted[src] for src, dst in image.items()):
+            return True
+        used = set(images)
+        return not all(any(all(image[src] == dst if src in image else dst not in used
+                               for src, dst in option) for option in options)
+                       for options in supports.values())
 
-
-def _pruned_mappings(plan: Plan, gt: Plan, objs: list[str],
-                     shifts: Iterable[int]) -> Iterator[dict[str, str]]:
-    yield {obj: obj for obj in objs}
-    seen: set[tuple] = {tuple(sorted((o, o) for o in objs))}
-    for partial in _aligned_partial_maps(plan, gt, set(objs), shifts):
-        for full in _complete_partial(partial, objs):
-            key = tuple(sorted(full.items()))
-            if key not in seen:
-                seen.add(key)
-                yield full
+    return dead
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +186,28 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                       domain: DomainModel, config: PipelineConfig | None = None,
                       provider: NameSimilarityProvider | None = None,
                       ) -> tuple[Plan, VariantScore]:
-    """Enumerate transformed variants and select the best one.
+    """Select the best variant over every (mapping, shift) combination.
 
     Ranking: valid first, then penalized score, then fewer total changes,
     then the smaller shift, then the smaller mapping.  The identity
     transformation is always in the candidate set, so the winner's penalized
     score is never below the plan's own score.
 
-    One streaming pass simulates each variant whose actions all resolve.
-    Valid variants rank on (penalty, changes, shift, mapping) alone, and
-    once one is found, a later variant is simulated only if that key is
-    smaller.  Before a valid variant is found, an invalid one is scored only
-    if the mapping's score ceiling minus its penalty can still beat the best
-    scored so far, ties decided by the tie-break.  Only the valid winner, if
-    any, is scored.
+    Mappings are built depth first, objects in order of first appearance,
+    each trying its own image first, so the identity comes first.  Valid
+    variants rank on (penalty, changes, shift, mapping) alone, and only the
+    valid winner is scored.  An invalid variant is scored only while no
+    valid one is known and its mapping's score ceiling minus its penalty can
+    still win.  A partial mapping is skipped with its completions, each
+    moving at least ``low`` objects, when (a) a valid variant is known and
+    ``(c_map * low, low)`` exceeds its (penalty, changes), or (b) no
+    completion can be valid and either a valid variant is known or the
+    ceiling minus ``c_map * low`` is below the best score.
 
-    Up to ``EXACT_SEARCH_MAX_OBJECTS`` objects, a partial mapping is skipped
-    with its completions, each of which moves at least ``low`` objects, when
-    (a) a valid variant is known and ``(c_map * low, low)`` exceeds its
-    (penalty, changes), or (b) an unknown name, arity or object, or an
-    assigned action that does not resolve, leaves no completion valid, and
-    the ceiling minus ``c_map * low`` is below the best score.
-
-    Raises :class:`SearchBudgetExceeded`, carrying the exact winner among
-    the variants enumerated so far, when variants remain after
-    ``config.budget`` have been enumerated; the identity, enumerated first,
-    always is, and a skipped variant counts as enumerated.  Raises
+    A node is a partial mapping tested for a skip or a variant visited.
+    Once a winner exists and ``config.budget`` nodes have been counted, the
+    search raises :class:`SearchBudgetExceeded` carrying the exact winner
+    among the variants visited; the identity at shift 0 always is.  Raises
     :class:`ConfigError` when ``c_shift`` or ``c_map`` is negative.
     """
     if config is None:
@@ -238,25 +217,23 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                           f"and c_map={config.c_map}")
     if provider is None:
         provider = config.provider()
-    objs = sorted(plan.objects())
+    objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
     length = len(plan)
     shifts = list(range(length)) if length else [0]
     sim = make_similarity_cache(provider)
     ceiling_of = score_ceiling(plan, gt, objs, provider)
+    dead = _no_valid_completion(plan, domain, problem, objs)
     # Penalties, c_shift * circular shift distance + c_map * moved objects,
     # indexed by the number of moved objects, then the shift; a row is built
     # when a mapping first moves that many objects.
     magnitudes = [min(shift, length - shift) for shift in shifts]
     penalties: dict[int, list[Fraction]] = {}
     resolved: dict[tuple, GroundAction] = {}
-    # An unknown name, arity or object leaves every variant unresolvable.
-    declared = set(objs) <= problem.objects.keys() and all(
-        (schema := domain.schema(action.name)) is not None
-        and schema.arity == len(action.args) for action in plan)
 
     best: VariantScore | None = None  # best scored invalid variant
     best_rank: tuple = ()  # (changes, shift, mapping) of best
     valid: tuple | None = None  # ((penalty, changes, shift, mapping), plan)
+    nodes = 0
 
     def winner() -> VariantScore:
         if valid is None:
@@ -265,53 +242,30 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         return score_variant(variant, Transformation(shift, pairs), penalty, gt,
                              problem, sim)
 
-    def exceeded() -> SearchBudgetExceeded:
-        found = winner()
-        return SearchBudgetExceeded(
-            f"variant search exceeded budget {config.budget} "
-            f"({projected or 'unknown'} candidates)", best=(found.plan, found))
-
-    def resolves(images: tuple[str, ...]) -> bool:
-        image = dict(zip(objs, images))
-        for action in plan:
-            key = (action.name, tuple(image.get(arg) for arg in action.args))
-            if None not in key[1]:
-                if key not in resolved:
-                    resolved[key] = resolve_action(*key, domain, problem)
-                if not resolved[key].resolvable:
-                    return False
-        return True
+    def count_node() -> None:
+        nonlocal nodes
+        if nodes >= config.budget and (valid is not None or best is not None):
+            found = winner()
+            raise SearchBudgetExceeded(
+                f"variant search exceeded its budget of {config.budget} nodes",
+                best=(found.plan, found))
+        nodes += 1
 
     def skip(images: tuple[str, ...]) -> bool:
-        nonlocal enumerated
-        depth = len(images)
+        count_node()
         # Every completion moves the assigned objects that moved and the
         # unassigned ones whose own name is already taken as an image.
         low = (sum(src != dst for src, dst in zip(objs, images))
-               + len(set(images).intersection(objs[depth:])))
+               + len(set(images).intersection(objs[len(images):])))
         floor = config.c_map * low
-        if not ((valid is not None and (floor, low) > valid[0][:2])
-                or (best is not None and not (declared and resolves(images))
-                    and ceiling_of(images) - floor < best.penalized)):
-            return False
-        skipped = math.factorial(len(objs) - depth) * len(shifts)
-        if enumerated + skipped > config.budget:
-            raise exceeded()
-        enumerated += skipped
-        return True
+        if valid is not None:
+            return (floor, low) > valid[0][:2] or dead(images)
+        return (best is not None and dead(images)
+                and ceiling_of(images) - floor < best.penalized)
 
-    if len(objs) <= EXACT_SEARCH_MAX_OBJECTS:
-        assignments = _assignments(objs, skip)
-        projected = math.factorial(len(objs)) * len(shifts)
-    else:
-        assignments = (tuple(mapping[obj] for obj in objs)
-                       for mapping in _pruned_mappings(plan, gt, objs, shifts))
-        projected = None  # lazily generated; bounded by the budget check
-
-    enumerated = 0
-    for images in assignments:
+    for images in _assignments(objs, skip):
         mapped = remap_params(plan, dict(zip(objs, images)), domain, problem, resolved)
-        pairs = tuple(zip(objs, images))
+        pairs = tuple(sorted(zip(objs, images)))
         moved = sum(src != dst for src, dst in pairs)
         costs = penalties.get(moved)
         if costs is None:
@@ -322,9 +276,7 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         # An invalid variant can win only if (penalty, rank) stays below this.
         limit = None
         for shift in shifts:
-            if enumerated and enumerated >= config.budget:
-                raise exceeded()
-            enumerated += 1
+            count_node()
             penalty = costs[shift]
             rank = (magnitudes[shift] + moved, shift, pairs)
             if valid is not None and (penalty, *rank) >= valid[0]:

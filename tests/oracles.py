@@ -213,14 +213,13 @@ def penalty_oracle(transformation, plan_length: int, config):
 
 
 def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
-                         domain: DomainModel, config, provider=None, limit=None):
+                         domain: DomainModel, config, provider=None, only=None):
     """Score every (mapping, shift) variant and rank with an explicit sort.
 
     Ordering: valid first, then highest penalized score, then fewest total
     changes, then smallest shift, then lexicographically smallest mapping.
     Names are compared by *provider* (default: ``config.provider()``).  With
-    *limit*, only the first *limit* variants in enumeration order (mappings
-    as permutations of the sorted objects, then shifts) are ranked.
+    *only*, a collection of transformations, just those variants are ranked.
     """
     from planeval.similarity import make_similarity_cache
     from planeval.transform import (
@@ -237,11 +236,13 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
                    for shift in shifts]
     remapped = {}
     scored = []
-    for perm, shift in enumeration[:limit]:
+    for perm, shift in enumeration:
         mapping = dict(zip(objs, perm))
+        transformation = Transformation(shift, tuple(sorted(mapping.items())))
+        if only is not None and transformation not in only:
+            continue
         if perm not in remapped:
             remapped[perm] = remap_params(plan, mapping, domain, problem)
-        transformation = Transformation(shift, tuple(sorted(mapping.items())))
         penalty = penalty_oracle(transformation, len(plan), config)
         scored.append(score_variant(circular_shift(remapped[perm], shift), transformation,
                                     penalty, gt, problem, sim))

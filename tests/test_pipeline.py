@@ -498,7 +498,7 @@ def test_manifest_empty_required_field(tmp_path):
 def test_config_defaults():
     config = load_config(None)
     assert config.c_shift == 1 and config.c_map == 1
-    assert config.budget == 1_000_000
+    assert config.budget == 100_000
     assert config.validity_reward == 1
 
 
@@ -544,7 +544,7 @@ def test_config_unknown_key(tmp_path):
 
 
 def test_config_rejects_the_removed_prune_threshold(tmp_path):
-    # The exact-search object limit is the constant EXACT_SEARCH_MAX_OBJECTS.
+    # The search is exact at every object count; the old limit is no key.
     path = tmp_path / "old.cfg"
     path.write_text("transform.budget = 7\ntransform.prune_threshold = 6\n")
     with pytest.raises(ConfigError, match=re.escape(

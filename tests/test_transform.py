@@ -25,7 +25,7 @@ from planeval.errors import NonBijectiveMapping, SearchBudgetExceeded
 from planeval.pddl import GroundAction, Plan, ProblemModel, plan_to_text
 from planeval.similarity import SynonymTable, make_similarity_cache
 from planeval.scoring import score_ceiling
-from planeval.transform import EXACT_SEARCH_MAX_OBJECTS, Transformation, score_variant
+from planeval.transform import Transformation, score_variant
 
 from conftest import make_bw_problem
 from oracles import penalty_oracle, rank_variants_oracle, total_changes
@@ -275,21 +275,58 @@ def _count_remaps(monkeypatch) -> list[int]:
     return count
 
 
-def _skipped_subtrees(monkeypatch) -> list[tuple[str, ...]]:
-    """Record the partial mappings the search skips."""
-    skipped = []
+def _recorded_nodes(monkeypatch) -> list[tuple[tuple[str, ...], bool | None]]:
+    """Record, in search order, each partial mapping tested for a skip as
+    ``(images, skipped)`` and each complete mapping as ``(images, None)``."""
+    nodes = []
     assignments = transform._assignments
 
     def recording(objs, skip):
         def recorded(images):
-            if skip(images):
-                skipped.append(images)
-                return True
-            return False
-        return assignments(objs, recorded)
+            skipped = skip(images)
+            nodes.append((images, skipped))
+            return skipped
+        for images in assignments(objs, recorded):
+            nodes.append((images, None))
+            yield images
 
     monkeypatch.setattr(transform, "_assignments", recording)
-    return skipped
+    return nodes
+
+
+def _visited_under_budget(nodes, plan, budget) -> tuple[set[Transformation], int]:
+    """Replay the *nodes* of an unbounded search under *budget*: each tested
+    partial mapping and each variant of a complete mapping counts one node,
+    and the search stops at the first node past the budget once a variant
+    was visited.  Returns the visited variants and the nodes counted."""
+    objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
+    shifts = range(len(plan)) if len(plan) else [0]
+    visited: set[Transformation] = set()
+    counted = 0
+    for images, skipped in nodes:
+        pairs = tuple(sorted(zip(objs, images)))
+        for shift in ([None] if skipped is not None else shifts):
+            if counted >= budget and visited:
+                return visited, counted
+            counted += 1
+            if shift is not None:
+                visited.add(Transformation(shift, pairs))
+    return visited, counted
+
+
+def _assert_budget_winner_is_exact(plan, gt, problem, domain, nodes, budget):
+    """Under *budget*, the search raises carrying the oracle's winner over
+    the variants it visited."""
+    config = PipelineConfig(budget=budget)
+    visited, _ = _visited_under_budget(nodes, plan, budget)
+    with pytest.raises(SearchBudgetExceeded) as excinfo:
+        find_best_variant(plan, gt, problem, domain, config)
+    best_plan, best = excinfo.value.best
+    oracle = rank_variants_oracle(plan, gt, problem, domain, config, only=visited)
+    assert best.transformation == oracle.transformation
+    assert best.penalized == oracle.penalized
+    assert best.valid == oracle.valid
+    assert best_plan.keys() == oracle.plan.keys()
 
 
 @pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0), (Fraction(1, 2), 2)],
@@ -331,34 +368,24 @@ def test_budget_inside_a_skipped_subtree_keeps_the_prefix_winner(
         problem, domain = logistics_problems["log-01"], logistics_domain
         gt = solve_optimal(problem, domain)
         plan = remap_params(gt, {"l1": "l2", "l2": "l1"}, domain, problem)
-    config = PipelineConfig()
-    skipped = _skipped_subtrees(monkeypatch)
-    find_best_variant(plan, gt, problem, domain, config)
-    objs = sorted(plan.objects())
-    order = list(itertools.permutations(objs))
-    budgets = set()
-    for images in skipped:
-        first = images + tuple(obj for obj in objs if obj not in images)
-        start = order.index(first) * len(plan)
-        size = math.factorial(len(objs) - len(images)) * len(plan)
-        budgets |= {start, start + 1, start + size // 2, start + size - 1}
-    assert len(skipped) >= 2 and len(budgets) >= 6
-    # The last subtree is skipped, and a budget of every variant is not exceeded.
-    total = math.factorial(len(objs)) * len(plan)
-    assert max(budgets) == total - 1
+    nodes = _recorded_nodes(monkeypatch)
+    find_best_variant(plan, gt, problem, domain)
+    nodes = list(nodes)
+    total, skips = 0, []  # the nodes, and the number of each skipped one
+    for _, skipped in nodes:
+        if skipped:
+            skips.append(total)
+        total += len(plan) if skipped is None else 1
+    assert total == _visited_under_budget(nodes, plan, math.inf)[1]
+    # A budget of every node is not exceeded.
     find_best_variant(plan, gt, problem, domain, PipelineConfig(budget=total))
-    # Spread over the skipped subtrees, the last one included.
-    picked = sorted(budgets)[::len(budgets) // 8 or 1] + [max(budgets)]
+    # Budgets that stop the search at a skipped partial mapping or just after.
+    assert len(skips) >= 2
+    budgets = sorted({budget for index in skips for budget in (index, index + 1)
+                      if budget < total})
+    picked = budgets[::len(budgets) // 8 or 1] + [budgets[-1], total - 1]
     for budget in picked:
-        config = PipelineConfig(budget=budget)
-        with pytest.raises(SearchBudgetExceeded) as excinfo:
-            find_best_variant(plan, gt, problem, domain, config)
-        best_plan, best = excinfo.value.best
-        oracle = rank_variants_oracle(plan, gt, problem, domain, config, limit=budget)
-        assert best.transformation == oracle.transformation
-        assert best.penalized == oracle.penalized
-        assert best.valid == oracle.valid
-        assert best_plan.keys() == oracle.plan.keys()
+        _assert_budget_winner_is_exact(plan, gt, problem, domain, nodes, budget)
 
 
 TOUR_DOMAIN = """(define (domain tour) (:requirements :strips)
@@ -422,7 +449,7 @@ def test_search_leaves_no_cyclic_garbage(bw_domain, bw_problem, logistics_domain
     log = logistics_problems["log-04"]
     log_gt = solve_optimal(log, logistics_domain)
     swapped = remap_params(log_gt, {"p1": "p2", "p2": "p1"}, logistics_domain, log)
-    assert len(swapped.objects()) > EXACT_SEARCH_MAX_OBJECTS
+    assert len(swapped.objects()) > 6
     searches = [(_hallucinated(gt, bw_domain, bw_problem), gt, bw_problem, bw_domain),
                 (five_gt[:-2], five_gt, five, bw_domain),
                 (swapped, log_gt, log, logistics_domain)]
@@ -473,24 +500,27 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
 
 
 @pytest.mark.parametrize("which, budget", [
-    ("pi0", 1), ("pi0", 7), ("pi0", 40),
-    ("shuffled-gt", 4), ("shuffled-gt", 5), ("shuffled-gt", 30),
+    ("pi0", 0), ("pi0", 1), ("pi0", 7), ("pi0", 40), ("pi0", 53),
+    ("shuffled-gt", 4), ("shuffled-gt", 5), ("shuffled-gt", 7), ("shuffled-gt", 8),
+    ("shuffled-gt", 30),
 ])
-def test_budget_winner_is_exact_over_enumerated_prefix(pi0_plan, gt_plan, bw_problem,
-                                                       bw_domain, which, budget):
-    # pi0 has 48 variants.  The shuffled ground truth has 36, and a valid one
-    # is the fifth enumerated (identity mapping, shift 4).
+def test_budget_winner_is_exact_over_enumerated_prefix(monkeypatch, pi0_plan, gt_plan,
+                                                       bw_problem, bw_domain, which, budget):
+    # pi0 takes 54 nodes and has no valid variant.  The shuffled ground truth
+    # takes 12: three partial mappings, the six shifts of the identity, the
+    # fifth of them valid (node 7), and three skipped partial mappings.
     plan = pi0_plan if which == "pi0" else circular_shift(gt_plan, 2)
-    config = PipelineConfig(budget=budget)
-    with pytest.raises(SearchBudgetExceeded) as excinfo:
-        find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
-    best_plan, best = excinfo.value.best
-    oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config,
-                                  limit=budget)
-    assert best.transformation == oracle.transformation
-    assert best.penalized == oracle.penalized
-    assert best.valid == oracle.valid
-    assert best_plan.keys() == oracle.plan.keys()
+    nodes = _recorded_nodes(monkeypatch)
+    _, unbounded = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
+    nodes = list(nodes)
+    _, total = _visited_under_budget(nodes, plan, math.inf)
+    assert total == (54 if which == "pi0" else 12)
+    if budget < total:
+        _assert_budget_winner_is_exact(plan, gt_plan, bw_problem, bw_domain, nodes, budget)
+    else:
+        _, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain,
+                                    PipelineConfig(budget=budget))
+        assert best == unbounded
 
 
 @pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0)], ids=["1-1", "0-0"])
@@ -555,13 +585,11 @@ def test_search_is_deterministic(pi0_plan, gt_plan, bw_problem, bw_domain):
     assert all(o.penalized == outcomes[0].penalized for o in outcomes)
 
 
-def test_pruned_mode_finds_object_swap(logistics_domain, logistics_problems):
-    # log-04 has 7 objects, above EXACT_SEARCH_MAX_OBJECTS = 6, so the
-    # search only tries mappings that align at least one action positionally.
+def test_seven_object_search_finds_object_swap(logistics_domain, logistics_problems):
     from planeval import solve_optimal
     problem = logistics_problems["log-04"]
     gt = solve_optimal(problem, logistics_domain)
-    assert len(problem.objects) > EXACT_SEARCH_MAX_OBJECTS
+    assert len(problem.objects) == 7
     swapped = remap_params(gt, {"p1": "p2", "p2": "p1"}, logistics_domain, problem)
     assert not is_valid(swapped, problem)
     pi1, score = find_best_variant(swapped, gt, problem, logistics_domain)
@@ -569,6 +597,79 @@ def test_pruned_mode_finds_object_swap(logistics_domain, logistics_problems):
     assert changed == {"p1": "p2", "p2": "p1"}
     assert score.valid
     assert pi1.keys() == gt.keys()
+
+
+LOG_03_CANDIDATE = """(load-airplane p1 t2 ap1)
+(fly-airplane t2 ap1 ap2)
+(unload-airplane p1 t2 ap2)
+(load-truck p1 t1 ap2)
+(drive-truck t1 ap2 l2 c2)
+(unload-truck p1 t1 l2)
+(load-truck p1 a1 l1)
+(drive-truck a1 l1 ap1 c1)
+(unload-truck p1 a1 ap1)
+"""
+
+
+def test_ten_object_search_finds_the_valid_winner(logistics_domain, logistics_problems):
+    # The vehicles of the log-03 ground truth rotated and the plan shifted:
+    # restricting the search to mappings that align one action with the
+    # ground truth reported an invalid variant with penalized score 33.
+    problem = logistics_problems["log-03"]
+    gt = solve_optimal(problem, logistics_domain)
+    plan = parse_plan(LOG_03_CANDIDATE, logistics_domain, problem)
+    assert len(plan.objects()) == 10
+    pi1, score = find_best_variant(plan, gt, problem, logistics_domain)
+    assert score.valid and score.penalized == 3
+    assert score.transformation.shift == 3
+    changed = {src: dst for src, dst in score.transformation.mapping if src != dst}
+    assert changed == {"a1": "t1", "t1": "t2", "t2": "a1"}
+    assert is_valid(pi1, problem)
+
+
+def test_seven_object_perturbed_plan_matches_oracle(logistics_domain, logistics_problems):
+    # From a perturbation generator: the log-04 ground truth with c1, l3 and
+    # p2 rotated and one action dropped.  Restricting the search to
+    # mappings that align one action with the ground truth lost here.
+    problem = logistics_problems["log-04"]
+    gt = parse_plan("(load-truck p1 t1 l1)\n(drive-truck t1 l1 l2 c1)\n"
+                    "(load-truck p2 t1 l2)\n(drive-truck t1 l2 l3 c1)\n"
+                    "(unload-truck p1 t1 l3)\n(unload-truck p2 t1 l3)\n",
+                    logistics_domain, problem)
+    plan = parse_plan("(load-truck p1 t1 l1)\n(drive-truck t1 l1 l2 l3)\n"
+                      "(load-truck c1 t1 l2)\n(unload-truck p1 t1 p2)\n"
+                      "(unload-truck c1 t1 p2)\n", logistics_domain, problem)
+    assert len(plan.objects()) == 7
+    config = PipelineConfig()
+    best_plan, best = find_best_variant(plan, gt, problem, logistics_domain, config)
+    oracle = rank_variants_oracle(plan, gt, problem, logistics_domain, config)
+    assert best.transformation == oracle.transformation
+    assert best.penalized == oracle.penalized == Fraction(121, 6)
+    assert best.valid == oracle.valid
+    assert best_plan.keys() == oracle.plan.keys()
+
+
+@pytest.mark.parametrize("positions, budget", [
+    ((8, 5, 2, 0), 20_000),
+    ((6, 3, 1, 0, 0), 2_000),
+], ids=["18-objects", "20-objects"])
+def test_hallucinated_log_03_plan_stays_within_budget(logistics_domain, logistics_problems,
+                                                      positions, budget):
+    # Unknown actions over unknown objects inserted into the log-03 ground
+    # truth: no variant is valid, so only the score ceiling cuts the 18! or
+    # 20! mappings short.  Without its bound on the substring run (18
+    # objects) or on the arguments that can still be ground-truth objects
+    # (20 objects), the search needs more nodes than the budget.
+    problem = logistics_problems["log-03"]
+    gt = solve_optimal(problem, logistics_domain)
+    lines = plan_to_text(gt).splitlines()
+    for index, position in enumerate(positions):
+        lines.insert(position, f"(teleport x{index} y{index})")
+    plan = parse_plan("\n".join(lines) + "\n", logistics_domain, problem)
+    assert len(plan.objects()) == 10 + 2 * len(positions)
+    _, best = find_best_variant(plan, gt, problem, logistics_domain,
+                                PipelineConfig(budget=budget))
+    assert not best.valid
 
 
 def test_validity_first_ranking(bw_domain, bw_problem, gt_plan):

@@ -1,10 +1,12 @@
 """Batch driver: run the full evaluation/recovery pipeline over instances,
 emit per-instance JSONL records and aggregate them into a metrics CSV.
 
-Within one process, batch rows parse each distinct domain and problem text
-once, and instances with the same serialised domain and problem share one
-solved ground truth.  Both caches hold at most 256 entries, evict the
-oldest first and never keep a failure.
+Within one process, batch rows parse and serialise each distinct domain and
+problem text once, and instances with the same serialised domain and problem
+share one solved ground truth.  Both caches hold at most 256 entries, evict
+the oldest first and never keep a failure.  With several jobs, the rows that
+share a domain and problem file go to one worker together, largest groups
+first, so each problem is parsed and solved once per batch at any job count.
 
 A missing or empty candidate plan is evaluated as the empty plan (the
 defaulted record), so group means always cover every instance.  Aggregation
@@ -84,21 +86,24 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                       plan_text: str | None, gt_plan_text: str | None = None,
                       config: PipelineConfig | None = None,
                       instance_id: str = "", model: str = "",
-                      prompt_type: str = "") -> dict:
+                      prompt_type: str = "",
+                      serialised: tuple[str, str] | None = None) -> dict:
     """Run the whole pipeline for one candidate plan and return its record,
     the dict that ``write_jsonl`` writes.
 
     ``gt_plan_text`` supplies the ground truth; without it the instance is
     solved (built-in planner or ``planner.external_cmd``) and the plan is
-    kept in the per-process ``_GT_CACHE``.  Whatever its source, the ground
-    truth must be valid (stage ``check-gt``).  A ``None`` plan text
-    marks a failed generation and is evaluated as the empty plan.  Any stage
-    failure is wrapped in :class:`InstanceError` naming the stage.
+    kept in the per-process ``_GT_CACHE``.  Its key holds *serialised*, the
+    domain and problem as PDDL text, which is built here when not given.
+    Whatever its source, the ground truth must be valid (stage
+    ``check-gt``).  A ``None`` plan text marks a failed generation and is
+    evaluated as the empty plan.  Any stage failure is wrapped in
+    :class:`InstanceError` naming the stage.
 
     Each distinct action sequence among the ground truth and pi0 to pi4 is
     simulated once, each distinct one among pi0 to pi3 is paired with the
-    ground truth once, and pi0 and pi1 are LCS-analysed once; the stages that
-    need those results are handed them.
+    ground truth once, and each distinct one among pi0 and pi1 is
+    LCS-analysed once; the stages that need those results are handed them.
     """
     if config is None:
         config = PipelineConfig()
@@ -120,8 +125,9 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     else:
         # Keyed on exactly what a planner reads; the timeout only bounds the
         # search, and failures are never cached.
-        cache_key = (domain_to_pddl(domain), problem_to_pddl(problem, domain),
-                     config.external_planner)
+        if serialised is None:
+            serialised = (domain_to_pddl(domain), problem_to_pddl(problem, domain))
+        cache_key = (*serialised, config.external_planner)
         gt_plan = _GT_CACHE.get(cache_key)
         if gt_plan is None:
             gt_plan = stage("solve-gt", solve_optimal, problem, domain,
@@ -164,8 +170,10 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     pi1 = pi1.with_label("pi1")
 
     pi2 = stage("subplan", best_subplan, pi0, lcs0, problem, label="pi2")
-    pi3 = stage("subplan", best_subplan, pi1, lcs_analyze(pi1, gt_plan), problem,
-                label="pi3")
+    # pi3 is pi1's sub-plan; when pi1 keeps pi0's actions, that is pi2.
+    pi3 = (pi2.with_label("pi3") if pi1.actions == pi0.actions else
+           stage("subplan", best_subplan, pi1, lcs_analyze(pi1, gt_plan), problem,
+                 label="pi3"))
 
     steps0 = stage("stv", steps_to_validity, pi0, aqm, pairing, gt_plan, problem)
     metrics = {"pi0": _plan_metrics(pi0, sim0, stv=len(steps0))}
@@ -291,11 +299,13 @@ def _read(path: Path) -> str:
         raise InstanceError("load", PlanEvalError(f"{path} is not UTF-8: {exc}")) from exc
 
 
-# Per-process cache of parsed (domain, problem) models, keyed on the two file
-# texts; oldest entry evicted first.  The models are frozen and no stage
-# writes to them, so one pair serves every row that reads the same texts, and
-# one domain model every cached problem of that domain text.
-_PARSE_CACHE: dict[tuple[str, str], tuple[DomainModel, ProblemModel]] = {}
+# Per-process cache of parsed (domain, problem) models and their serialised
+# PDDL texts (the ground-truth cache key), keyed on the two file texts; oldest
+# entry evicted first.  The models are frozen and no stage writes to them, so
+# one entry serves every row that reads the same texts, and one domain model
+# every cached problem of that domain text.
+_PARSE_CACHE: dict[tuple[str, str],
+                   tuple[DomainModel, ProblemModel, tuple[str, str]]] = {}
 _PARSE_CACHE_SIZE = 256
 
 
@@ -303,16 +313,19 @@ def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
     texts = (_read(row.domain_path), _read(row.problem_path))
     models = _PARSE_CACHE.get(texts)
     if models is None:
-        domain = next((cached[0] for key, cached in _PARSE_CACHE.items()
-                       if key[0] == texts[0]), None)
+        domain, domain_pddl = next(((cached[0], cached[2][0])
+                                    for key, cached in _PARSE_CACHE.items()
+                                    if key[0] == texts[0]), (None, None))
         try:
             if domain is None:
                 domain = parse_domain(texts[0])
-            models = (domain, parse_problem(texts[1], domain))
+                domain_pddl = domain_to_pddl(domain)
+            problem = parse_problem(texts[1], domain)
         except PlanEvalError as exc:
             raise InstanceError("load", exc) from exc
+        models = (domain, problem, (domain_pddl, problem_to_pddl(problem, domain)))
         _cache_put(_PARSE_CACHE, texts, models, _PARSE_CACHE_SIZE)
-    domain, problem = models
+    domain, problem, serialised = models
 
     plan_text: str | None = None
     if row.plan_path is not None and row.plan_path.is_file():
@@ -325,7 +338,7 @@ def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
     return evaluate_instance(
         domain, problem, plan_text, gt_plan_text=gt_plan_text,
         config=config, instance_id=row.instance_id, model=row.model,
-        prompt_type=row.prompt_type,
+        prompt_type=row.prompt_type, serialised=serialised,
     )
 
 
@@ -441,14 +454,48 @@ class BatchResult:
         return bool(self.failed_rows)
 
 
+def _problem_tasks(rows: list[ManifestRow], jobs: int) -> list[list[int]]:
+    """Split the indices of *rows* into worker tasks, largest first.
+
+    A task holds rows that share a domain and problem file, so one worker
+    parses and solves that problem for all of them.  A group of more than
+    ``len(rows) // (2 * jobs)`` rows is split into consecutive chunks of that
+    size, so even a one-problem manifest gives every worker work.  A task's
+    work is estimated as its rows times the size of its problem file (0 for a
+    missing file); ties keep manifest order.
+    """
+    groups: dict[tuple[Path, Path], list[int]] = {}
+    for index, row in enumerate(rows):
+        groups.setdefault((row.domain_path, row.problem_path), []).append(index)
+    size = max(1, len(rows) // (2 * jobs))
+    tasks: list[tuple[int, list[int]]] = []
+    for (_, problem_path), members in groups.items():
+        try:
+            weight = problem_path.stat().st_size
+        except OSError:
+            weight = 0  # each row gets its own load error record
+        tasks.extend((len(chunk) * weight, chunk) for chunk in
+                     (members[start:start + size] for start in range(0, len(members), size)))
+    tasks.sort(key=lambda task: -task[0])
+    return [chunk for _, chunk in tasks]
+
+
+def _evaluate_rows(rows: list[ManifestRow], config: PipelineConfig) -> list[dict]:
+    """One worker task: the records of *rows*, evaluated in order."""
+    return [_evaluate_row_safe(row, config) for row in rows]
+
+
 def evaluate_batch(manifest_path: str | Path, jobs: int = 1,
                    out_jsonl: str | Path | None = None,
                    out_csv: str | Path | None = None,
                    config: PipelineConfig | None = None) -> BatchResult:
-    """Evaluate every manifest row, in manifest order regardless of *jobs*.
+    """Evaluate every manifest row and return the records in manifest order,
+    whatever *jobs*.
 
-    Partial results are still flushed when some rows fail; failed rows carry
-    an ``error`` entry in the JSONL output and are reported in the result.
+    With ``jobs > 1`` a pool of that many worker processes takes the tasks of
+    :func:`_problem_tasks`, largest first.  Partial results are still flushed
+    when some rows fail; failed rows carry an ``error`` entry in the JSONL
+    output and are reported in the result.
     """
     if config is None:
         config = PipelineConfig()
@@ -457,11 +504,16 @@ def evaluate_batch(manifest_path: str | Path, jobs: int = 1,
     config = replace(config, resolved_provider=config.provider())
 
     if jobs <= 1:
-        records = [_evaluate_row_safe(row, config) for row in rows]
+        records = _evaluate_rows(rows, config)
     else:
+        tasks = _problem_tasks(rows, jobs)
+        placed: dict[int, dict] = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_evaluate_row_safe, rows,
-                                    [config] * len(rows), chunksize=1))
+            done = pool.map(_evaluate_rows, [[rows[i] for i in task] for task in tasks],
+                            [config] * len(tasks), chunksize=1)
+            for task, task_records in zip(tasks, done):
+                placed.update(zip(task, task_records))
+        records = [placed[index] for index in range(len(rows))]
 
     result = BatchResult(records=records)
     result.failed_rows = [r["instance_id"] for r in records if "error" in r]

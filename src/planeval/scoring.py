@@ -15,13 +15,12 @@ from typing import Callable
 
 from .errors import ZeroLengthGroundTruth
 from .lcs import LcsResult
-from .pddl import GroundAction, Plan
+from .pddl import Plan
 from .similarity import (
     FLAT_MATCH_SCORE,
     NameSimilarityProvider,
     PairingResult,
     QualityLabel,
-    action_similarity,
 )
 
 ZERO = Fraction(0)
@@ -64,13 +63,14 @@ def length_penalty(n: int, m: int) -> Fraction:
     return gap if n >= m else 2 * gap
 
 
-def plan_score(plan: Plan, gt: Plan, pairing: PairingResult, lcs: LcsResult,
-               valid: bool) -> ScoreBreakdown:
+def plan_score(plan: Plan, gt: Plan, pairing: PairingResult | None,
+               lcs: LcsResult | None, valid: bool) -> ScoreBreakdown:
     """Compose the plan score.
 
-    Valid plans are only penalised for sub-optimal length; invalid plans get
-    the full composition of base length credit, per-action similarity, pair
-    bonuses and LCS bonuses minus the length penalty.
+    Valid plans are only penalised for sub-optimal length, so *pairing* and
+    *lcs* are not read and may be ``None``; invalid plans get the full
+    composition of base length credit, per-action similarity, pair bonuses
+    and LCS bonuses minus the length penalty.
     """
     base = Fraction(len(plan))
     penalty = length_penalty(len(plan), len(gt))
@@ -117,6 +117,20 @@ def normalize_score(breakdown: ScoreBreakdown, plan: Plan, gt: Plan) -> Fraction
 SHARED_ACTION_CEILING = FLAT_MATCH_SCORE + PAIR_BONUS + SUBSEQUENCE_BONUS_PER_ACTION
 
 
+def placeholder_similarity(name: str, arity: int, other: str, other_arity: int,
+                           j: int, provider: NameSimilarityProvider) -> Fraction:
+    """The best similarity of a *name* action of *arity* distinct arguments
+    to an *other* action of *other_arity* that shares at most its first *j*
+    arguments in place.
+
+    That is ``action_similarity`` with ``F = min(j, arity, other_arity)``
+    exact matches and no other shared argument (``M = 0``), in closed form.
+    """
+    score = Fraction(provider(name, other)) + Fraction(
+        5 * min(j, arity, other_arity) - 2 * abs(arity - other_arity), 20)
+    return score if score > ZERO else ZERO
+
+
 def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
                   provider: NameSimilarityProvider
                   ) -> Callable[[tuple[str, ...]], Fraction]:
@@ -127,15 +141,22 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
     variants of every mapping that extends them, whatever the shift.  An
     action that can still equal a ground-truth action, its unassigned
     arguments taking unused images, earns at most
-    :data:`SHARED_ACTION_CEILING`.  Any action earns at most its
-    best similarity to a ground-truth action, computed once per (name,
-    arity, j), since ``F + M`` never exceeds either arity nor the number
-    ``j`` of its arguments that can still be ground-truth objects, plus the
-    pair bonus if its name occurs in the ground truth.  The substring bonus
-    is at most twice the longest cyclic run of actions each of which can
-    equal the ground-truth action after the one its predecessor can.  The
-    bound is summed in integers over one denominator, and the caps are
-    computed at the first call.
+    :data:`SHARED_ACTION_CEILING`.  Any action earns at most its cap: its
+    best similarity to a ground-truth action, at most
+    :func:`placeholder_similarity` per (name, arity, j), since ``F + M``
+    never exceeds either arity nor the number ``j`` of its arguments that
+    can still be ground-truth objects, plus the pair bonus if its name
+    occurs in the ground truth.  The substring bonus is at most twice the
+    longest cyclic run of actions each of which can equal the ground-truth
+    action after the one its predecessor can.  The bound is summed in
+    integers over one denominator, and the caps are computed at the first
+    call.
+
+    The bound never rises as the images are extended: an argument that gets
+    an image, or whose unused ground-truth images run out, leaves ``j`` as
+    it was or lowers it, and a cap never rises as ``j`` falls; the
+    ground-truth actions an action can equal only shrink, so runs only
+    shorten.  The bound of ``()`` therefore bounds every mapping.
     """
     gt_targets: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
     for index, action in enumerate(gt):
@@ -154,13 +175,9 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
         for name, arity in {(action.name, len(action.args)) for action in plan}:
             # Only a plan object outside the ground truth makes j < arity.
             for j in range(arity + 1) if len(gt_images) < len(objs) else [arity]:
-                similarity = max(
-                    action_similarity(
-                        GroundAction(name, tuple(f"?{i}" for i in range(arity))),
-                        GroundAction(other, tuple(f"?{i}" if i < j else f"!{i}"
-                                                  for i in range(other_arity))),
-                        provider)
-                    for other, other_arity in gt_targets)
+                similarity = max(placeholder_similarity(name, arity, other, other_arity,
+                                                        j, provider)
+                                 for other, other_arity in gt_targets)
                 fractions[name, arity, j] = similarity + (PAIR_BONUS if name in gt_names
                                                           else ZERO)
         constants = [len(plan) - length_penalty(len(plan), len(gt)),

@@ -10,7 +10,9 @@ and tie-break alone, and any valid variant beats every invalid one.  An
 invalid variant is scored in full only when an upper bound on its score,
 which depends on the mapping alone, says it can still beat the best variant
 scored so far.  Mappings are built depth first, and one whose completions
-all lose is skipped unremapped.
+all lose is skipped unremapped.  The bound never rises as a mapping is
+extended, so the empty mapping's bound, computed at most once per search,
+answers most of these tests without the bound of the mapping at hand.
 """
 
 from __future__ import annotations
@@ -176,8 +178,10 @@ def score_variant(variant: Plan, transformation: Transformation, penalty: Fracti
     """Score one variant against *gt*, names compared by *sim*, and subtract
     the *penalty* of its transformation."""
     valid = is_valid(variant, problem)
-    pairing, _ = pair_actions(variant, gt, sim=sim)
-    breakdown = plan_score(variant, gt, pairing, lcs_analyze(variant, gt), valid)
+    # A valid variant's score reads neither its pairing nor its LCS analysis.
+    breakdown = (plan_score(variant, gt, None, None, True) if valid else
+                 plan_score(variant, gt, pair_actions(variant, gt, sim=sim)[0],
+                            lcs_analyze(variant, gt), False))
     return VariantScore(transformation, variant, breakdown, penalty,
                         breakdown.total - penalty, valid)
 
@@ -222,6 +226,16 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     shifts = list(range(length)) if length else [0]
     sim = make_similarity_cache(provider)
     ceiling_of = score_ceiling(plan, gt, objs, provider)
+    # The ceiling never rises as a mapping is extended, so the empty
+    # mapping's, computed at most once, bounds every node: a test it already
+    # answers needs no ceiling of the node's own.
+    root: Fraction | None = None
+
+    def root_ceiling() -> Fraction:
+        nonlocal root
+        if root is None:
+            root = ceiling_of(())
+        return root
     dead = _no_valid_completion(plan, domain, problem, objs)
     # Penalties, c_shift * circular shift distance + c_map * moved objects,
     # indexed by the number of moved objects, then the shift; a row is built
@@ -261,7 +275,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         if valid is not None:
             return (floor, low) > valid[0][:2] or dead(images)
         return (best is not None and dead(images)
-                and ceiling_of(images) - floor < best.penalized)
+                and (root_ceiling() - floor < best.penalized
+                     or ceiling_of(images) - floor < best.penalized))
 
     for images in _assignments(objs, skip):
         mapped = remap_params(plan, dict(zip(objs, images)), domain, problem, resolved)
@@ -289,6 +304,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
             if valid is not None:
                 continue
             if best is not None:
+                if penalty > root_ceiling() - best.penalized:  # so also > limit
+                    continue
                 if limit is None:
                     limit = (ceiling_of(images) - best.penalized, *best_rank)
                 if (penalty, *rank) > limit:

@@ -9,9 +9,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
-from planeval.pddl import Atom, DomainModel, Plan, ProblemModel, State
+from planeval.pddl import Atom, DomainModel, GroundAction, Plan, ProblemModel, State
 from planeval.planner import ground_all_actions
+from planeval.similarity import action_similarity
 
 # ---------------------------------------------------------------------------
 # Blocksworld state-space enumeration
@@ -185,6 +187,17 @@ def brute_force_param_counts(p: list[str], q: list[str]) -> tuple[int, int]:
         if not aligned:
             m_count += 1
     return f_count, m_count
+
+
+def placeholder_similarity_oracle(name: str, arity: int, other: str, other_arity: int,
+                                  j: int, provider) -> Fraction:
+    """``action_similarity`` of a *name* action over distinct placeholder
+    arguments and an *other* action whose first *j* arguments equal them in
+    place and whose others occur nowhere else."""
+    return action_similarity(
+        GroundAction(name, tuple(f"?{i}" for i in range(arity))),
+        GroundAction(other, tuple(f"?{i}" if i < j else f"!{i}" for i in range(other_arity))),
+        provider)
 
 
 # ---------------------------------------------------------------------------

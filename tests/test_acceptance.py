@@ -311,13 +311,18 @@ def test_criterion_4_batch_records_are_byte_identical(tmp_path, bw_domain, bw_pr
                                                       logistics_domain, logistics_problems):
     """A refactor must leave every record of the criterion-4 batch byte for
     byte as it was, so the JSONL digest is pinned here.  A change that alters
-    records on purpose updates the digest and gives the reason in CHANGES.md."""
+    records on purpose updates the digest and gives the reason in CHANGES.md.
+    The number of batch workers changes neither the JSONL nor the CSV."""
     manifest = _build_batch(tmp_path, bw_domain, logistics_domain,
                             logistics_problems, bw_problem)
-    out = tmp_path / "batch.jsonl"
-    result = evaluate_batch(manifest, out_jsonl=out)
-    assert len(result.records) == 67
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_4_JSONL_SHA256
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"batch-{jobs}.jsonl"
+        result = evaluate_batch(manifest, jobs=jobs, out_jsonl=out,
+                                out_csv=tmp_path / f"batch-{jobs}.csv")
+        assert len(result.records) == 67
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_4_JSONL_SHA256
+        assert (tmp_path / f"batch-{jobs}.csv").read_bytes() == (
+            tmp_path / "batch-1.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

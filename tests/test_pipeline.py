@@ -8,12 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
 from planeval.config import _KEY_MAP
 from planeval.errors import ConfigError, InstanceError, ManifestError, ZeroLengthGroundTruth
-from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
+from planeval.pddl import domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
@@ -104,15 +105,13 @@ def test_invalid_gt_is_a_check_gt_error(bw_domain, bw_problem, gt_text):
 
 
 def test_each_plan_is_simulated_and_analysed_once(monkeypatch, bw_domain, bw_problem):
-    # Six plans (GT, pi0 to pi4), but pi3 and pi4 both equal the GT, so four
-    # distinct action sequences, each simulated once; two LCS analyses (pi0
-    # and pi1 against the GT).  Simulations through is_valid and inside the
-    # pi1 search do not count.
+    # Simulations through is_valid and calls inside the pi1 search do not count.
     from planeval import lcs, recovery, simulator
 
-    calls = {"simulate": [], "lcs_analyze": []}
+    calls = {"simulate": [], "lcs_analyze": [], "best_subplan": []}
     for original, modules in ((simulator.simulate, (pipeline, recovery)),
-                              (lcs.lcs_analyze, (pipeline, lcs))):
+                              (lcs.lcs_analyze, (pipeline, lcs)),
+                              (lcs.best_subplan, (pipeline,))):
         def counting(plan, *args, _original=original, **kwargs):
             calls[_original.__name__].append(plan.actions)
             return _original(plan, *args, **kwargs)
@@ -120,10 +119,20 @@ def test_each_plan_is_simulated_and_analysed_once(monkeypatch, bw_domain, bw_pro
         for module in modules:
             if hasattr(module, original.__name__):
                 monkeypatch.setattr(module, original.__name__, counting)
-    evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
-                      gt_plan_text=INSTANCE_10_GT)
-    assert len(calls["simulate"]) == len(set(calls["simulate"])) == 4
-    assert len(calls["lcs_analyze"]) == 2
+    for candidate, simulations, analyses in (
+            # Six plans (GT, pi0 to pi4), but pi3 and pi4 both equal the GT, so
+            # four distinct action sequences; pi1 is a shift of pi0, so two LCS
+            # analyses and two sub-plans.
+            (INSTANCE_10_CANDIDATE, 4, 2),
+            # Every plan is the GT, so one simulation; pi1 keeps pi0's actions,
+            # so pi0's analysis and sub-plan serve pi3 too.
+            (INSTANCE_10_GT, 1, 1)):
+        for seen in calls.values():
+            seen.clear()
+        evaluate_instance(bw_domain, bw_problem, candidate, gt_plan_text=INSTANCE_10_GT)
+        assert len(calls["simulate"]) == len(set(calls["simulate"])) == simulations
+        assert len(calls["lcs_analyze"]) == analyses
+        assert len(calls["best_subplan"]) == analyses
 
 
 def test_empty_gt_gives_one_score_error_per_row(tmp_path, monkeypatch, bw_domain):
@@ -225,6 +234,74 @@ def test_batch_is_deterministic_across_jobs(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def _rows(problem_paths: list[Path]) -> list[pipeline.ManifestRow]:
+    return [pipeline.ManifestRow(index + 2, f"row-{index}", BW_DOMAIN_PATH, path, None,
+                                 None, "m", "p")
+            for index, path in enumerate(problem_paths)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(problems=st.lists(st.integers(0, 5), max_size=40), jobs=st.integers(2, 5))
+def test_problem_tasks_cover_each_row_once_largest_first(tmp_path, problems, jobs):
+    # Problem files of 0 to 4 lines; file 5 does not exist.
+    paths = [tmp_path / f"problem-{index}.pddl" for index in range(6)]
+    for index, path in enumerate(paths[:5]):
+        path.write_text("(x)\n" * index)
+    rows = _rows([paths[problem] for problem in problems])
+    tasks = pipeline._problem_tasks(rows, jobs)
+    assert sorted(index for task in tasks for index in task) == list(range(len(rows)))
+    size = max(1, len(rows) // (2 * jobs))
+    for problem in set(problems):
+        members = [index for index, other in enumerate(problems) if other == problem]
+        chunks = [task for task in tasks if problems[task[0]] == problem]
+        # One task per group unless split, into consecutive chunks of *size*.
+        assert chunks == [members[start:start + size]
+                          for start in range(0, len(members), size)]
+    weights = [len(task) * (paths[problems[task[0]]].stat().st_size
+                            if problems[task[0]] < 5 else 0) for task in tasks]
+    assert weights == sorted(weights, reverse=True)
+
+
+@pytest.mark.parametrize("rows, jobs", [(1, 2), (3, 2), (4, 2), (5, 2), (7, 3),
+                                        (77, 2), (77, 3)])
+def test_one_problem_manifest_gives_every_worker_tasks(rows, jobs):
+    tasks = pipeline._problem_tasks(_rows([BW_PROBLEM_PATH] * rows), jobs)
+    assert len(tasks) >= min(rows, 2 * jobs)
+
+
+def test_parallel_batch_solves_each_problem_once(tmp_path, monkeypatch, bw_domain):
+    # Four problems of three rows each, interleaved in the manifest; with
+    # twelve rows and two jobs no group is split.  Each call appends to a
+    # file, which the forked workers share with this process.
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    log = tmp_path / "solved.log"
+    solve = pipeline.solve_optimal
+
+    def logging_solve(problem, *args, **kwargs):
+        with log.open("a") as handle:
+            handle.write(problem.name + "\n")
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_optimal", logging_solve)
+    names = [f"bw-{i}" for i in range(4)]
+    goals = [[["b", "a"]], [["a", "b"]], [["c", "b", "a"]], [["a", "c"], ["b"]]]
+    for name, goal in zip(names, goals):
+        (tmp_path / f"{name}.pddl").write_text(problem_to_pddl(
+            make_bw_problem(bw_domain, [["a"], ["b"], ["c"]], goal, name=name), bw_domain))
+    (tmp_path / "gt.plan").write_text(INSTANCE_10_GT)
+    manifest = write_manifest(tmp_path, [
+        manifest_row(f"{name}-{kind}", BW_DOMAIN_PATH, f"{name}.pddl", plan)
+        for kind, plan in (("missing", ""), ("other", "gt.plan"), ("again", ""))
+        for name in names])
+    result = evaluate_batch(manifest, jobs=2, out_jsonl=tmp_path / "parallel.jsonl")
+    assert not result.had_errors
+    assert sorted(log.read_text().split()) == names
+    evaluate_batch(manifest, out_jsonl=tmp_path / "serial.jsonl")
+    assert ((tmp_path / "parallel.jsonl").read_bytes()
+            == (tmp_path / "serial.jsonl").read_bytes())
+
+
 def test_batch_flags_broken_rows_but_flushes(tmp_path):
     (tmp_path / "broken.pddl").write_text("(define (domain broken)")
     (tmp_path / "good.plan").write_text(INSTANCE_10_GT)
@@ -315,7 +392,7 @@ def test_gt_cache_sees_rewritten_problem(tmp_path):
         "(:goal (and (on a c) (on c b)))", "(:goal (on c b))"))
     assert evaluate_batch(manifest).records[0]["gt_length"] == 4
     # The parse cache keys on the file texts, so the edited file was parsed.
-    _, model = pipeline._PARSE_CACHE[BW_DOMAIN_PATH.read_text(), problem.read_text()]
+    _, model, _ = pipeline._PARSE_CACHE[BW_DOMAIN_PATH.read_text(), problem.read_text()]
     assert model.goal == {("on", "c", "b")}
 
 
@@ -451,10 +528,12 @@ def test_rows_leave_cached_models_unchanged(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
     evaluate_batch(shared_files_manifest(tmp_path))
     assert len(pipeline._PARSE_CACHE) == 2
-    for (domain_text, problem_text), (domain, problem) in pipeline._PARSE_CACHE.items():
+    for (domain_text, problem_text), (domain, problem, serialised) in (
+            pipeline._PARSE_CACHE.items()):
         fresh = parse_domain(domain_text)
         assert domain == fresh
         assert problem == parse_problem(problem_text, fresh)
+        assert serialised == (domain_to_pddl(fresh), problem_to_pddl(problem, fresh))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

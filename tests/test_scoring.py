@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from planeval import (
 )
 from planeval.errors import ZeroLengthGroundTruth
 from planeval.pddl import Plan
-from planeval.scoring import M_MAX
+from planeval.scoring import M_MAX, placeholder_similarity
+from planeval.similarity import CharLcsSimilarity, SynonymTable, exact_name_similarity
+
+from oracles import placeholder_similarity_oracle
 
 
 def audit(breakdown) -> bool:
@@ -162,3 +166,17 @@ def test_breakdown_audit_is_exact(pi0_plan, gt_plan, bw_problem):
     breakdown = breakdown_for(pi0_plan, gt_plan, bw_problem)
     assert isinstance(breakdown.total, Fraction)
     assert audit(breakdown)
+
+
+@pytest.mark.parametrize("provider", [
+    exact_name_similarity,
+    CharLcsSimilarity(),
+    SynonymTable({("pick-up", "lift"): Fraction(1, 2), ("stack", "put"): Fraction(1, 10)}),
+], ids=["exact", "char_lcs", "synonyms"])
+def test_placeholder_similarity_matches_action_similarity(provider):
+    names = ["pick-up", "lift", "stack", "put", "Unstack", "drive-truck", "x"]
+    for name, other, arity, other_arity in itertools.product(names, names, range(5),
+                                                             range(5)):
+        for j in range(arity + 1):
+            args = (name, arity, other, other_arity, j, provider)
+            assert placeholder_similarity(*args) == placeholder_similarity_oracle(*args), args

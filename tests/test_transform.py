@@ -8,6 +8,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planeval import (
     PipelineConfig,
@@ -497,6 +498,33 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
                     assert bound - score.penalty >= score.penalized
                     checked += 1
     assert checked > 2000
+
+
+@pytest.mark.parametrize("provider", [
+    PipelineConfig().provider(),
+    PipelineConfig(similarity_provider="char_lcs").provider(),
+    SYNONYMS,
+], ids=["exact", "char_lcs", "synonyms"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_score_ceiling_never_rises_along_a_prefix(gt_plan, provider, data):
+    # The pi1 search bounds every mapping by the ceiling of the empty one,
+    # which is sound only while extending the images never raises it.  Plans
+    # mix ground-truth shapes with a synonym, a hallucinated name and objects
+    # z and x9 outside the ground truth.
+    shapes = [("pick-up", 1), ("put-down", 1), ("stack", 2), ("unstack", 2),
+              ("lift", 1), ("teleport", 2)]
+    objects = ["a", "b", "c", "z", "x9"]
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(shapes),
+                                         st.lists(st.sampled_from(objects),
+                                                  min_size=2, max_size=2)),
+                               min_size=1, max_size=8))
+    plan = Plan(tuple(act(name, *args[:arity]) for (name, arity), args in drawn))
+    objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
+    images = tuple(data.draw(st.permutations(objs)))
+    ceiling = score_ceiling(plan, gt_plan, objs, provider)
+    bounds = [ceiling(images[:k]) for k in range(len(objs) + 1)]
+    assert bounds == sorted(bounds, reverse=True)
 
 
 @pytest.mark.parametrize("which, budget", [

@@ -41,7 +41,7 @@ from .similarity import aqm_score, non_positional_aqm, pair_actions
 from .simulator import SimulationResult, simulate
 from .transform import find_best_variant
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 REPORT_COLUMNS = [
     "model", "prompt_type", "domain", "instances",

@@ -1,6 +1,13 @@
 """Optimal forward state-space search: the ground-truth engine.
 
-A* with the admissible h_max heuristic guarantees minimum action count.
+The solved ground truth is the lexicographically least optimal plan: of the
+plans with the fewest actions, the one whose first action comes first in
+``ground_all_actions`` order, then its second, and so on.  A* finds the
+optimal length with the admissible bound max(h_max, goal count / k), and a
+depth-first pass in action order returns that plan, so neither the heuristic
+nor A*'s tie-breaking picks among the optimal plans.  The rule does not
+apply to ``external_cmd``: its plan is whatever that planner returns.
+
 States are encoded as atom bitmasks for fast duplicate detection; the
 public API speaks in :class:`~planeval.pddl.Plan` and atom sets.  h_max is
 computed in unit-cost layers of the delete relaxation: each layer fires
@@ -84,6 +91,9 @@ class _GroundTask:
         self.atom_index = atom_index
         # (precondition, add) mask pairs: all the delete relaxation reads.
         self.relaxed = [(pre, add) for _, pre, add, _ in self.encoded]
+        # The most goal atoms one action adds, at least 1.
+        self.goal_adds = max(((add & self.goal_mask).bit_count() for _, add in self.relaxed),
+                             default=0) or 1
         # hmax's layers still needed from a reached set (INF included).
         self.layers_to_goal: dict[int, float] = {}
 
@@ -128,24 +138,51 @@ def hmax(task: _GroundTask, state: int) -> float:
     return layer
 
 
+def goal_count_bound(task: _GroundTask, state: int) -> int:
+    """Admissible bound from the goal count: ⌈unsatisfied goal atoms / k⌉.
+
+    No action adds more than ``task.goal_adds`` goal atoms, so each step
+    satisfies at most that many; a step also changes the bound by at most
+    one, so it is consistent as well.
+    """
+    return -(-(task.goal_mask & ~state).bit_count() // task.goal_adds)
+
+
 def _search(task: _GroundTask, start: int, timeout: float,
             heuristic: Callable[[_GroundTask, int], float]) -> list[GroundAction]:
+    """The least optimal plan from *start*, actions compared by index.
+
+    A* with ``max(heuristic, goal_count_bound)`` finds the optimal length L.
+    A depth-first pass then tries actions in ``task.encoded`` order and
+    returns the first plan of length L it meets.  It enters a child at depth
+    d only if A* knows no shorter path to it, it has not already failed, and
+    d + h(child) <= L.  With a consistent h, A* has expanded every state of
+    f < L, so it knows a shorter path to any child that has one: each state
+    entered is at its true distance, and a state that failed once is on no
+    optimal plan.  The skips drop only such states, so the plan returned is
+    the same for every consistent *heuristic*.
+    """
     deadline = time.monotonic() + timeout
     goal = task.goal_mask
+    h_of: dict[int, float] = {}
+
+    def h(state: int) -> float:
+        value = h_of.get(state)
+        if value is None:
+            value = h_of[state] = max(heuristic(task, state), goal_count_bound(task, state))
+        return value
 
     def unsat(state: int) -> int:
         return (goal & ~state).bit_count()
 
-    h0 = heuristic(task, start)
+    h0 = h(start)
     if h0 == INF:
         raise PlanningUnsolvable("goal unreachable from the given state")
     g_value: dict[int, int] = {start: 0}
-    parent: dict[int, tuple[int, int] | None] = {start: None}
     counter = itertools.count()
     heap: list[tuple[float, int, int, int]] = [(h0, unsat(start), next(counter), start)]
     closed: set[int] = set()
     pops = 0
-
     while heap:
         pops += 1
         if pops % 128 == 0 and time.monotonic() > deadline:
@@ -155,29 +192,53 @@ def _search(task: _GroundTask, start: int, timeout: float,
             continue
         closed.add(state)
         if goal & ~state == 0:
-            steps: list[GroundAction] = []
-            node = state
-            while parent[node] is not None:
-                node, action_i = parent[node]  # type: ignore[misc]
-                steps.append(task.actions[action_i])
-            steps.reverse()
-            return steps
-        g_state = g_value[state]
-        for action_i, pre, add, dele in task.encoded:
+            break
+        g_succ = g_value[state] + 1
+        for _, pre, add, dele in task.encoded:
             if state & pre != pre:
                 continue
             succ = (state & ~dele) | add
             if succ in closed:
                 continue
-            g_succ = g_state + 1
             if g_succ < g_value.get(succ, 1 << 62):
-                h = heuristic(task, succ)
-                if h == INF:
+                h_succ = h(succ)
+                if h_succ == INF:
                     continue
                 g_value[succ] = g_succ
-                parent[succ] = (state, action_i)
-                heapq.heappush(heap, (g_succ + h, unsat(succ), next(counter), succ))
-    raise PlanningUnsolvable("search space exhausted without reaching the goal")
+                heapq.heappush(heap, (g_succ + h_succ, unsat(succ), next(counter), succ))
+    else:
+        raise PlanningUnsolvable("search space exhausted without reaching the goal")
+    length = g_value[state]
+
+    failed: set[int] = set()
+    steps: list[GroundAction] = []
+
+    def complete(state: int, depth: int) -> bool:
+        # Only a goal state passes d + h <= L at d = L, as goal_count_bound
+        # is positive elsewhere; so the recursion is at most L deep.
+        if goal & ~state == 0:
+            return True
+        if time.monotonic() > deadline:
+            raise PlanningTimeout(f"search exceeded {timeout} s")
+        depth += 1
+        for action_i, pre, add, dele in task.encoded:
+            if state & pre != pre:
+                continue
+            succ = (state & ~dele) | add
+            if (g_value.get(succ, depth) < depth or succ in failed
+                    or depth + h(succ) > length):
+                continue
+            steps.append(task.actions[action_i])
+            if complete(succ, depth):
+                return True
+            steps.pop()
+            failed.add(succ)
+        return False
+
+    if not complete(start, 0):
+        raise PlanningUnsolvable(f"no plan of the optimal length {length}: "
+                                 "the heuristic is not consistent")
+    return steps
 
 
 def solve_optimal(problem: ProblemModel, domain: DomainModel,
@@ -185,7 +246,8 @@ def solve_optimal(problem: ProblemModel, domain: DomainModel,
                   heuristic: Callable[[_GroundTask, int], float] = hmax,
                   external_cmd: str | None = None,
                   label: str | None = None) -> Plan:
-    """Find a provably optimal (minimum action count) plan.
+    """Find the least optimal (minimum action count) plan; see the module
+    docstring for the order.
 
     Raises :class:`PlanningUnsolvable` or :class:`PlanningTimeout`.  When
     *external_cmd* is set the configured planner command is invoked as

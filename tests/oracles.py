@@ -101,6 +101,48 @@ def count_optimal_plans(problem: ProblemModel, domain: DomainModel) -> int:
                if problem.goal <= state and dist[state] == optimum)
 
 
+def goal_distances(problem: ProblemModel, domain: DomainModel) -> dict[State, int]:
+    """Fewest actions from each reachable state to a goal state, by
+    breadth-first search backwards over the explicit reachable graph;
+    states that cannot reach the goal are left out."""
+    actions = ground_all_actions(domain, problem)
+    reachable = bfs_distances(problem.init, actions)
+    predecessors: dict[State, list[State]] = {}
+    for state in reachable:
+        for action in actions:
+            if action.preconditions <= state:
+                successor = (state - action.del_effects) | action.add_effects
+                predecessors.setdefault(successor, []).append(state)
+    goals = [state for state in reachable if problem.goal <= state]
+    dist = dict.fromkeys(goals, 0)
+    queue = deque(goals)
+    while queue:
+        state = queue.popleft()
+        for before in predecessors.get(state, ()):
+            if before not in dist:
+                dist[before] = dist[state] + 1
+                queue.append(before)
+    return dist
+
+
+def least_optimal_plan_oracle(problem: ProblemModel, domain: DomainModel) -> Plan:
+    """The lexicographically least optimal plan, actions compared by their
+    ``ground_all_actions`` position: from the initial state, repeatedly take
+    the first action that brings the goal one step closer."""
+    actions = ground_all_actions(domain, problem)
+    dist = goal_distances(problem, domain)
+    state, steps = problem.init, []
+    while dist[state] > 0:
+        for action in actions:
+            if action.preconditions <= state:
+                successor = (state - action.del_effects) | action.add_effects
+                if dist.get(successor) == dist[state] - 1:
+                    steps.append(action)
+                    state = successor
+                    break
+    return Plan(tuple(steps))
+
+
 # ---------------------------------------------------------------------------
 # Delete-relaxation heuristic oracle
 # ---------------------------------------------------------------------------

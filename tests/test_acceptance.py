@@ -304,7 +304,7 @@ def test_criterion_4_batch_scores_few_variants(tmp_path, monkeypatch, bw_domain,
 
 
 #: sha256 of the criterion-4 batch JSONL (67 rows, default configuration).
-CRITERION_4_JSONL_SHA256 = "75d06c406056c92e6193b786741c8d74a1571cd78f382ab72c31e7e384579095"
+CRITERION_4_JSONL_SHA256 = "3dd0e08fd461fbfda695424954bd4d6baca5334946c331dfd8bd129f8363a761"
 
 
 def test_criterion_4_batch_records_are_byte_identical(tmp_path, bw_domain, bw_problem,

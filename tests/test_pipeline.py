@@ -32,7 +32,7 @@ def test_record_running_example(bw_domain, bw_problem):
     record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                                gt_plan_text=INSTANCE_10_GT,
                                instance_id="10", model="m", prompt_type="p")
-    assert record["schema"] == 2
+    assert record["schema"] == 3
     assert record["gt_length"] == 6
     assert set(record["flags"]) == {"generation_missing", "transform_budget_exceeded"}
     pi0 = record["pi0"]

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import functools
 import random
+import traceback
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planeval import is_valid, parse_domain, parse_problem, replan_from, simulate, solve_optimal
+from planeval import (is_valid, parse_domain, parse_problem, planner, replan_from, simulate,
+                      solve_optimal)
 from planeval.errors import PlanningTimeout, PlanningUnsolvable
 from planeval.pddl import ProblemModel, plan_to_text
-from planeval.planner import INF, _GroundTask, _search, ground_all_actions, hmax
+from planeval.planner import INF, _GroundTask, _search, goal_count_bound, ground_all_actions, hmax
 
 from conftest import FIXTURES, make_bw_problem
 from oracles import (
@@ -18,7 +21,9 @@ from oracles import (
     bw_table_problem,
     config_atoms,
     count_optimal_plans,
+    goal_distances,
     hmax_oracle,
+    least_optimal_plan_oracle,
     tower_configs,
 )
 
@@ -145,34 +150,168 @@ def test_hmax_matches_fixpoint_oracle(bw_domain, bw_problem, gt_plan,
             == hmax_oracle(task, final, bw_problem.goal) == 0)
 
 
-# Each of these has several optimal plans.  A* breaks f-ties by the number of
-# unsatisfied goal atoms, then by insertion order, which follows the
-# ground-action order; that picks the GT pinned here.  The Blocksworld cases
-# give (initial towers, goal towers), bottom to top.
-PINNED_GTS = {
-    "log-04": (None, "(load-truck p1 t1 l1)\n(drive-truck t1 l1 l2 c1)\n(load-truck p2 t1 l2)\n"
-                     "(drive-truck t1 l2 l3 c1)\n(unload-truck p1 t1 l3)\n(unload-truck p2 t1 l3)\n"),
-    "bw-swap-towers": (([["a", "b"], ["c", "d"]], [["b", "a"], ["d", "c"]]),
-                       "(unstack b a)\n(put-down b)\n(unstack d c)\n(put-down d)\n"
-                       "(pick-up a)\n(stack a b)\n(pick-up c)\n(stack c d)\n"),
-    "bw-rebuild": (([["a", "c"], ["d", "b"]], [["b", "a", "c"], ["d"]]),
-                   "(unstack b d)\n(put-down b)\n(unstack c a)\n(put-down c)\n"
-                   "(pick-up a)\n(stack a b)\n(pick-up c)\n(stack c a)\n"),
+# Each of these has several optimal plans.  The GT is the least of them,
+# actions compared by their ground_all_actions position, whatever order A*
+# expands states in.  The Blocksworld cases give (initial towers, goal
+# towers), bottom to top.
+TIE_CASES = {
+    "log-04": None,
+    "bw-swap-towers": ([["a", "b"], ["c", "d"]], [["b", "a"], ["d", "c"]]),
+    "bw-rebuild": ([["a", "c"], ["d", "b"]], [["b", "a", "c"], ["d"]]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_GTS))
+def tie_case(name, bw_domain, logistics_domain, logistics_problems):
+    towers = TIE_CASES[name]
+    if towers is None:
+        return logistics_problems[name], logistics_domain
+    return make_bw_problem(bw_domain, *towers), bw_domain
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CASES))
 def test_tie_breaking_picks_the_pinned_gt(name, bw_domain, logistics_domain,
                                           logistics_problems):
-    towers, expected = PINNED_GTS[name]
-    if towers is None:
-        problem, domain = logistics_problems[name], logistics_domain
-    else:
-        problem, domain = make_bw_problem(bw_domain, *towers), bw_domain
+    problem, domain = tie_case(name, bw_domain, logistics_domain, logistics_problems)
     assert count_optimal_plans(problem, domain) > 1
     plan = solve_optimal(problem, domain)
     assert len(plan) == bfs_optimal_cost(problem, domain)
-    assert plan_to_text(plan) == expected
+    assert plan_to_text(plan) == plan_to_text(least_optimal_plan_oracle(problem, domain))
+
+
+@st.composite
+def bw_towers(draw, blocks: tuple[str, ...]) -> list[list[str]]:
+    """*blocks* in a drawn order, cut into towers at drawn places."""
+    order = draw(st.permutations(blocks))
+    towers = [[order[0]]]
+    for block in order[1:]:
+        if draw(st.booleans()):
+            towers.append([block])
+        else:
+            towers[-1].append(block)
+    return towers
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(3, 5))
+def test_solved_gt_is_the_least_optimal_plan(bw_domain, data, n):
+    blocks = tuple(f"b{i}" for i in range(1, n + 1))
+    problem = make_bw_problem(bw_domain, data.draw(bw_towers(blocks)),
+                              data.draw(bw_towers(blocks)))
+    assert solve_optimal(problem, bw_domain) == least_optimal_plan_oracle(problem, bw_domain)
+
+
+@pytest.mark.parametrize("name", ["log-01", "log-02", "log-03", "log-04", "log-05"])
+def test_logistics_gt_is_the_least_optimal_plan(name, logistics_domain, logistics_problems):
+    problem = logistics_problems[name]
+    assert (solve_optimal(problem, logistics_domain)
+            == least_optimal_plan_oracle(problem, logistics_domain))
+
+
+def exact_heuristic(problem, domain):
+    """The true distance to the goal, the strongest admissible heuristic."""
+    dist = goal_distances(problem, domain)
+    return lambda task, state: dist.get(atoms_of(task, state), INF)
+
+
+def test_gt_does_not_depend_on_the_heuristic(bw_domain, logistics_domain,
+                                             logistics_problems):
+    cases = [tie_case(name, bw_domain, logistics_domain, logistics_problems)
+             for name in sorted(TIE_CASES)]
+    cases += [(logistics_problems[name], logistics_domain) for name in ("log-01", "log-02")]
+    rng = random.Random(11)
+    for n in (4, 5, 5):
+        blocks = [f"b{i}" for i in range(1, n + 1)]
+        cases.append((make_bw_problem(bw_domain, random_towers(rng, blocks),
+                                      random_towers(rng, blocks)), bw_domain))
+    for problem, domain in cases:
+        plan = solve_optimal(problem, domain)
+        assert solve_optimal(problem, domain, heuristic=lambda task, state: 0.0) == plan
+        assert solve_optimal(problem, domain, heuristic=exact_heuristic(problem, domain)) == plan
+
+
+def test_combined_bound_is_admissible_and_consistent(bw_domain, logistics_domain,
+                                                     logistics_problems):
+    # A* closes a state at its first g and the depth-first pass skips a
+    # child that A* reached sooner; both need h = max(h_max, goal count)
+    # to be admissible and consistent.
+    cases = []
+    for cfg in sorted(tower_configs(("b1", "b2", "b3"))):
+        cases.append((bw_table_problem(bw_domain, ("b1", "b2", "b3"), config_atoms(cfg)),
+                      bw_domain))
+    for name in ("bw-swap-towers", "bw-rebuild"):
+        cases.append(tie_case(name, bw_domain, logistics_domain, logistics_problems))
+    blocks = ("b1", "b2", "b3", "b4")
+    cases.append((bw_table_problem(bw_domain, blocks, config_atoms((blocks,))), bw_domain))
+    cases += [(logistics_problems[name], logistics_domain) for name in ("log-01", "log-02")]
+    for problem, domain in cases:
+        task = _GroundTask(domain, problem)
+        dist = goal_distances(problem, domain)
+
+        def h(state):
+            mask = state_mask(task, state)
+            return max(hmax(task, mask), goal_count_bound(task, mask))
+
+        for state in bfs_distances(problem.init, task.actions):
+            assert h(state) <= dist.get(state, INF)
+            for action in task.actions:
+                if action.preconditions <= state:
+                    successor = (state - action.del_effects) | action.add_effects
+                    assert h(state) <= 1 + h(successor)
+
+
+def test_goal_count_bound_divides_by_the_most_goal_atoms_one_action_adds(bw_domain,
+                                                                        bw_problem):
+    # Every Blocksworld action adds one on/ontable atom, so k = 1 for the
+    # usual goals; put-down adds ontable, clear and handempty at once.
+    task = _GroundTask(bw_domain, bw_problem)
+    assert task.goal_adds == 1
+    assert goal_count_bound(task, task.init_mask) == 2
+    goal = frozenset({("on", "a", "c"), ("ontable", "b"), ("clear", "b"), ("handempty",),
+                      ("clear", "a")})
+    task = _GroundTask(bw_domain, ProblemModel(bw_problem.name, bw_problem.domain_name,
+                                               bw_problem.objects, bw_problem.init, goal))
+    assert task.goal_adds == 3
+    # (on a c) and (ontable b) are unsatisfied, and one step may add both.
+    assert goal_count_bound(task, task.init_mask) == 1
+
+
+def test_seven_block_tower_stays_within_its_heuristic_call_ceiling(bw_domain):
+    # Both passes together evaluate the heuristic 9,875 times on this
+    # tower; the ceiling leaves about 11 % headroom.  Without the goal-count
+    # bound and the per-search h cache the count is about twice as high.
+    blocks = [f"b{i}" for i in range(1, 8)]
+    problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
+    calls = 0
+
+    def counting(task, state):
+        nonlocal calls
+        calls += 1
+        return hmax(task, state)
+
+    assert len(solve_optimal(problem, bw_domain, heuristic=counting)) == 12
+    assert calls <= 11_000
+
+
+def test_inconsistent_heuristic_is_reported(bw_domain, bw_problem):
+    # h = 50 off the goal overestimates every state: A* still finds a plan,
+    # but no child passes the depth-first pass's bound, so no plan comes back.
+    def overestimate(task, state):
+        return 0.0 if task.goal_mask & ~state == 0 else 50.0
+
+    with pytest.raises(PlanningUnsolvable, match="not consistent"):
+        solve_optimal(bw_problem, bw_domain, heuristic=overestimate)
+
+
+def test_depth_first_pass_honours_the_timeout(bw_domain, monkeypatch):
+    # A clock that has run out only inside the depth-first pass.
+    def monotonic():
+        inside = any(frame.name == "complete" for frame in traceback.extract_stack())
+        return INF if inside else 0.0
+
+    monkeypatch.setattr(planner, "time", types.SimpleNamespace(monotonic=monotonic))
+    problem = make_bw_problem(bw_domain, [["a", "b"], ["c", "d"]], [["b", "a"], ["d", "c"]])
+    with pytest.raises(PlanningTimeout):
+        solve_optimal(problem, bw_domain, timeout=1.0)
 
 
 def random_towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:
@@ -204,12 +343,8 @@ def test_search_is_the_same_with_the_memo(bw_domain, logistics_domain,
                                           logistics_problems):
     # Same plan and same heuristic calls, state for state, as with the
     # memo-free fixpoint oracle: the memo changes no h value.
-    cases = []
-    for name, (towers, _) in sorted(PINNED_GTS.items()):
-        if towers is None:
-            cases.append((logistics_problems[name], logistics_domain))
-        else:
-            cases.append((make_bw_problem(bw_domain, *towers), bw_domain))
+    cases = [tie_case(name, bw_domain, logistics_domain, logistics_problems)
+             for name in sorted(TIE_CASES)]
     rng = random.Random(7)
     for n in (4, 4, 5, 5):
         blocks = [f"b{i}" for i in range(1, n + 1)]

@@ -24,7 +24,7 @@ from .simulator import format_trace, simulate
 
 def _read(flag: str, path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PlanEvalError(f"{flag} {path} is not UTF-8: {exc}") from exc
 

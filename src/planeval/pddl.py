@@ -90,7 +90,7 @@ class ActionSchema:
 @dataclass(frozen=True)
 class DomainModel:
     name: str
-    types: Mapping[str, str | None]
+    types: Mapping[str, str | None] = field(hash=False)  # compared, not hashed
     predicates: tuple[Predicate, ...]
     schemas: tuple[ActionSchema, ...]
 
@@ -127,7 +127,7 @@ class DomainModel:
 class ProblemModel:
     name: str
     domain_name: str
-    objects: Mapping[str, str]
+    objects: Mapping[str, str] = field(hash=False)  # compared, not hashed
     init: State
     goal: frozenset[Atom]
 
@@ -175,11 +175,6 @@ class GroundAction:
 class Plan:
     actions: tuple[GroundAction, ...] = ()
     label: str | None = None
-    _keys: tuple[tuple[str, tuple[str, ...]], ...] = field(init=False, compare=False,
-                                                           repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_keys", tuple(action.key for action in self.actions))
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -199,7 +194,7 @@ class Plan:
         return {arg for action in self.actions for arg in action.args}
 
     def keys(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        return self._keys
+        return tuple(action.key for action in self.actions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Batch driver: run the full evaluation/recovery pipeline over instances,
 emit per-instance JSONL records and aggregate them into a metrics CSV.
 
-Within one process, batch rows parse and serialise each distinct domain and
-problem text once, and instances with the same serialised domain and problem
-share one solved ground truth.  Both caches hold at most 256 entries, evict
-the oldest first and never keep a failure.  With several jobs, the rows that
-share a domain and problem file go to one worker together, largest groups
-first, so each problem is parsed and solved once per batch at any job count.
+Within one process, batch rows parse each distinct domain and problem text
+once, and instances with equal domain and problem models share one solved
+ground truth.  Both caches hold at most 256 entries, evict the oldest first
+and never keep a failure.  With several jobs, the rows that share a domain
+and problem file go to one worker together, largest groups first, so each
+problem is parsed and solved once per batch at any job count.
 
 A missing or empty candidate plan is evaluated as the empty plan (the
 defaulted record), so group means always cover every instance.  Aggregation
@@ -32,8 +32,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .lcs import best_subplan, lcs_analyze
-from .pddl import (DomainModel, Plan, ProblemModel, domain_to_pddl, parse_domain,
-                   parse_plan, parse_problem, problem_to_pddl)
+from .pddl import DomainModel, Plan, ProblemModel, parse_domain, parse_plan, parse_problem
 from .planner import solve_optimal
 from .recovery import recover, steps_to_validity
 from .scoring import normalize_score, plan_score, potential
@@ -69,9 +68,10 @@ def _plan_metrics(plan: Plan, result: SimulationResult, stv: int | None = None) 
     return metrics
 
 
-# Per-process cache of solved ground truths, keyed on the serialised domain
-# and problem plus the external planner command; oldest entry evicted first.
-_GT_CACHE: dict[tuple[str, str, str | None], Plan] = {}
+# Per-process cache of solved ground truths, keyed on the domain and problem
+# models (compared by value) plus the external planner command; oldest entry
+# evicted first.
+_GT_CACHE: dict[tuple[DomainModel, ProblemModel, str | None], Plan] = {}
 _GT_CACHE_SIZE = 256
 
 
@@ -86,17 +86,16 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
                       plan_text: str | None, gt_plan_text: str | None = None,
                       config: PipelineConfig | None = None,
                       instance_id: str = "", model: str = "",
-                      prompt_type: str = "",
-                      serialised: tuple[str, str] | None = None) -> dict:
+                      prompt_type: str = "") -> dict:
     """Run the whole pipeline for one candidate plan and return its record,
     the dict that ``write_jsonl`` writes.
 
     ``gt_plan_text`` supplies the ground truth; without it the instance is
     solved (built-in planner or ``planner.external_cmd``) and the plan is
-    kept in the per-process ``_GT_CACHE``.  Its key holds *serialised*, the
-    domain and problem as PDDL text, which is built here when not given.
-    Whatever its source, the ground truth must be valid (stage
-    ``check-gt``).  A ``None`` plan text marks a failed generation and is
+    kept in the per-process ``_GT_CACHE``.  Its key holds the domain and
+    problem models, compared by value, so equal models parsed from different
+    texts share one solve.  Whatever its source, the ground truth must be
+    valid (stage ``check-gt``).  A ``None`` plan text marks a failed generation and is
     evaluated as the empty plan.  Any stage failure is wrapped in
     :class:`InstanceError` naming the stage.
 
@@ -125,9 +124,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     else:
         # Keyed on exactly what a planner reads; the timeout only bounds the
         # search, and failures are never cached.
-        if serialised is None:
-            serialised = (domain_to_pddl(domain), problem_to_pddl(problem, domain))
-        cache_key = (*serialised, config.external_planner)
+        cache_key = (domain, problem, config.external_planner)
         gt_plan = _GT_CACHE.get(cache_key)
         if gt_plan is None:
             gt_plan = stage("solve-gt", solve_optimal, problem, domain,
@@ -260,7 +257,7 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
     base = path.parent
     rows: list[ManifestRow] = []
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ManifestError(0, f"{path} is not UTF-8: {exc}") from exc
     with io.StringIO(text, newline="") as handle:
@@ -292,20 +289,18 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InstanceError("load", PlanEvalError(str(exc))) from exc
     except UnicodeDecodeError as exc:
         raise InstanceError("load", PlanEvalError(f"{path} is not UTF-8: {exc}")) from exc
 
 
-# Per-process cache of parsed (domain, problem) models and their serialised
-# PDDL texts (the ground-truth cache key), keyed on the two file texts; oldest
-# entry evicted first.  The models are frozen and no stage writes to them, so
-# one entry serves every row that reads the same texts, and one domain model
-# every cached problem of that domain text.
-_PARSE_CACHE: dict[tuple[str, str],
-                   tuple[DomainModel, ProblemModel, tuple[str, str]]] = {}
+# Per-process cache of parsed (domain, problem) models, keyed on the two file
+# texts; oldest entry evicted first.  The models are frozen and no stage
+# writes to them, so one entry serves every row that reads the same texts,
+# and one domain model every cached problem of that domain text.
+_PARSE_CACHE: dict[tuple[str, str], tuple[DomainModel, ProblemModel]] = {}
 _PARSE_CACHE_SIZE = 256
 
 
@@ -313,19 +308,16 @@ def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
     texts = (_read(row.domain_path), _read(row.problem_path))
     models = _PARSE_CACHE.get(texts)
     if models is None:
-        domain, domain_pddl = next(((cached[0], cached[2][0])
-                                    for key, cached in _PARSE_CACHE.items()
-                                    if key[0] == texts[0]), (None, None))
+        domain = next((cached[0] for key, cached in _PARSE_CACHE.items()
+                       if key[0] == texts[0]), None)
         try:
             if domain is None:
                 domain = parse_domain(texts[0])
-                domain_pddl = domain_to_pddl(domain)
-            problem = parse_problem(texts[1], domain)
+            models = (domain, parse_problem(texts[1], domain))
         except PlanEvalError as exc:
             raise InstanceError("load", exc) from exc
-        models = (domain, problem, (domain_pddl, problem_to_pddl(problem, domain)))
         _cache_put(_PARSE_CACHE, texts, models, _PARSE_CACHE_SIZE)
-    domain, problem, serialised = models
+    domain, problem = models
 
     plan_text: str | None = None
     if row.plan_path is not None and row.plan_path.is_file():
@@ -338,7 +330,7 @@ def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
     return evaluate_instance(
         domain, problem, plan_text, gt_plan_text=gt_plan_text,
         config=config, instance_id=row.instance_id, model=row.model,
-        prompt_type=row.prompt_type, serialised=serialised,
+        prompt_type=row.prompt_type,
     )
 
 

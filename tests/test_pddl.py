@@ -17,7 +17,7 @@ from planeval.errors import (
 )
 from planeval.pddl import GroundAction, Plan, domain_to_pddl, plan_to_text, problem_to_pddl
 
-from conftest import INSTANCE_10_CANDIDATE
+from conftest import FIXTURES, INSTANCE_10_CANDIDATE
 
 
 def test_blocksworld_domain_schemas(bw_domain):
@@ -259,6 +259,67 @@ def test_problem_round_trip(bw_domain, bw_problem, logistics_domain, logistics_p
 def test_plan_round_trip(bw_domain, bw_problem):
     plan = parse_plan(INSTANCE_10_CANDIDATE, bw_domain, bw_problem)
     assert parse_plan(plan_to_text(plan), bw_domain, bw_problem) == plan
+
+
+# ---------------------------------------------------------------------------
+# Models compare and hash by value
+# ---------------------------------------------------------------------------
+
+LOG_TYPES = ["truck airplane - vehicle", "package vehicle - physobj",
+             "airport location - place", "city place physobj - object"]
+LOG_OBJECTS = ["t1 - truck", "a1 - airplane", "p1 - package", "l1 - location",
+               "l2 - airport", "c1 - city"]
+LOG_INIT = ["(in-city l1 c1)", "(in-city l2 c1)", "(at t1 l1)", "(at a1 l2)", "(at p1 l1)"]
+
+
+def logistics_texts(types=LOG_TYPES, objects=LOG_OBJECTS, init=LOG_INIT,
+                    goal="(at p1 l2)") -> tuple[str, str]:
+    """Logistics domain and problem texts with the given section contents."""
+    domain = (FIXTURES / "logistics" / "domain.pddl").read_text()
+    start = domain.index("(:types")
+    end = domain.index(")", start)
+    domain = f"{domain[:start]}(:types {' '.join(types)}{domain[end:]}"
+    problem = (f"(define (problem log-h) (:domain logistics)\n"
+               f"  (:objects {' '.join(objects)})\n"
+               f"  (:init {' '.join(init)})\n"
+               f"  (:goal {goal}))\n")
+    return domain, problem
+
+
+def parse_models(texts: tuple[str, str]):
+    domain = parse_domain(texts[0])
+    return domain, parse_problem(texts[1], domain)
+
+
+def test_models_parsed_twice_are_equal_dict_keys():
+    first, second = parse_models(logistics_texts()), parse_models(logistics_texts())
+    assert first[0] is not second[0] and first[1] is not second[1]
+    for a, b in zip(first, second):
+        assert a == b and hash(a) == hash(b)
+        assert {a: "cached"}[b] == "cached"
+    assert {first: "cached"}[second] == "cached"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_section_order_leaves_models_equal(seed):
+    rng = random.Random(seed)
+    types, objects, init = (rng.sample(items, len(items))
+                            for items in (LOG_TYPES, LOG_OBJECTS, LOG_INIT))
+    assert (types, objects, init) != (LOG_TYPES, LOG_OBJECTS, LOG_INIT)
+    shuffled = parse_models(logistics_texts(types, objects, init))
+    for a, b in zip(shuffled, parse_models(logistics_texts())):
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("change", [
+    {"goal": "(at p1 l1)"},
+    {"objects": [o.replace("l2 - airport", "l2 - location") for o in LOG_OBJECTS]},
+])
+def test_goal_or_object_type_tells_problems_apart(change):
+    domain, problem = parse_models(logistics_texts())
+    other = parse_problem(logistics_texts(**change)[1], domain)
+    assert other != problem
+    assert len({(domain, problem), (domain, other)}) == 2
 
 
 # Tokens of the accepted PDDL fragment, so that generated text gets past the

@@ -14,7 +14,7 @@ from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_con
 from planeval.cli import main as cli_main
 from planeval.config import _KEY_MAP
 from planeval.errors import ConfigError, InstanceError, ManifestError, ZeroLengthGroundTruth
-from planeval.pddl import domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
+from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
@@ -354,6 +354,37 @@ def test_batch_survives_undecodable_plan(tmp_path):
     assert "error" not in records[1] and records[1]["pi0"]["valid"] is True
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    """Files saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8") read as
+    if it were absent, in a batch and in ``planeval eval``."""
+    files = {"domain.pddl": BW_DOMAIN_PATH.read_text(),
+             "problem.pddl": BW_PROBLEM_PATH.read_text(),
+             "candidate.plan": INSTANCE_10_CANDIDATE, "gt.plan": INSTANCE_10_GT}
+    records = {}
+    for mark in ("", "\ufeff"):
+        folder = tmp_path / f"bom-{bool(mark)}"
+        folder.mkdir()
+        for name, text in files.items():
+            (folder / name).write_text(mark + text, encoding="utf-8")
+        rows = [manifest_row("solved", "domain.pddl", "problem.pddl", "candidate.plan"),
+                manifest_row("gt-file", "domain.pddl", "problem.pddl", "candidate.plan",
+                             "gt.plan")]
+        manifest = write_manifest(folder, rows)
+        manifest.write_text(mark + manifest.read_text(), encoding="utf-8")
+        result = evaluate_batch(manifest)
+        assert not result.had_errors
+        records[mark] = result.records
+        out = folder / "record.json"
+        assert cli_main(["eval", "--domain", str(folder / "domain.pddl"),
+                         "--problem", str(folder / "problem.pddl"),
+                         "--plan", str(folder / "candidate.plan"),
+                         "--gt-plan", str(folder / "gt.plan"), "--out", str(out),
+                         "--instance-id", "gt-file", "--model", "m",
+                         "--prompt-type", "p"]) == 0
+        assert json.loads(out.read_text()) == result.records[1]
+    assert records["\ufeff"] == records[""]
+
+
 # ---------------------------------------------------------------------------
 # Ground-truth cache
 # ---------------------------------------------------------------------------
@@ -392,7 +423,7 @@ def test_gt_cache_sees_rewritten_problem(tmp_path):
         "(:goal (and (on a c) (on c b)))", "(:goal (on c b))"))
     assert evaluate_batch(manifest).records[0]["gt_length"] == 4
     # The parse cache keys on the file texts, so the edited file was parsed.
-    _, model, _ = pipeline._PARSE_CACHE[BW_DOMAIN_PATH.read_text(), problem.read_text()]
+    _, model = pipeline._PARSE_CACHE[BW_DOMAIN_PATH.read_text(), problem.read_text()]
     assert model.goal == {("on", "c", "b")}
 
 
@@ -415,9 +446,29 @@ def test_gt_cache_is_shared_by_evaluate_instance(monkeypatch, bw_domain, bw_prob
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
     calls = counted(monkeypatch, "solve_optimal")
     first = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)
-    second = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)
+    # The same files parsed again give other, equal models: the key is their value.
+    domain = parse_domain(BW_DOMAIN_PATH.read_text())
+    problem = parse_problem(BW_PROBLEM_PATH.read_text(), domain)
+    assert (domain, problem) == (bw_domain, bw_problem) and problem is not bw_problem
+    second = evaluate_instance(domain, problem, INSTANCE_10_CANDIDATE)
     assert first == second
     assert len(calls) == 1
+
+
+def test_gt_cache_outlives_parse_cache_eviction(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
+    monkeypatch.setattr(pipeline, "_PARSE_CACHE_SIZE", 1)
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    calls = counted(monkeypatch, "solve_optimal")
+    (tmp_path / "b.pddl").write_text(BW_PROBLEM_PATH.read_text().replace(
+        "(:goal (and (on a c) (on c b)))", "(:goal (on c b))"))
+    result = evaluate_batch(write_manifest(tmp_path, [
+        manifest_row("a", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
+        manifest_row("b", BW_DOMAIN_PATH, "b.pddl"),
+        manifest_row("a-again", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
+    ]))
+    assert [r["gt_length"] for r in result.records] == [6, 4, 6]
+    assert len(calls) == 2
 
 
 def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
@@ -427,8 +478,7 @@ def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
                 for i in range(3)]
     for problem in problems:
         evaluate_instance(bw_domain, problem, None)
-    cached = [key[1] for key in pipeline._GT_CACHE]
-    assert cached == [problem_to_pddl(p, bw_domain) for p in problems[1:]]
+    assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +578,11 @@ def test_rows_leave_cached_models_unchanged(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
     evaluate_batch(shared_files_manifest(tmp_path))
     assert len(pipeline._PARSE_CACHE) == 2
-    for (domain_text, problem_text), (domain, problem, serialised) in (
-            pipeline._PARSE_CACHE.items()):
-        fresh = parse_domain(domain_text)
-        assert domain == fresh
-        assert problem == parse_problem(problem_text, fresh)
-        assert serialised == (domain_to_pddl(fresh), problem_to_pddl(problem, fresh))
+    for (domain_text, problem_text), models in pipeline._PARSE_CACHE.items():
+        domain = parse_domain(domain_text)
+        fresh = (domain, parse_problem(problem_text, domain))
+        # Equal models with equal hashes: the ground-truth cache key is unchanged too.
+        assert models == fresh and hash(models) == hash(fresh)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

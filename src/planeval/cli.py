@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import InstanceError, PlanEvalError
+from .errors import InstanceError, PlanEvalError, read_text
 from .pddl import parse_domain, parse_plan, parse_problem, plan_to_text
 from .pipeline import (
     _plan_metrics,
@@ -23,10 +23,7 @@ from .simulator import format_trace, simulate
 
 
 def _read(flag: str, path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise PlanEvalError(f"{flag} {path} is not UTF-8: {exc}") from exc
+    return read_text(path, f"{flag} {path}")
 
 
 def _load_models(args):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .similarity import (
     CharLcsSimilarity,
     NameSimilarityProvider,
@@ -73,10 +73,7 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     config = PipelineConfig()
     if path is None:
         return config
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+    text = read_text(path, f"config file {path}", ConfigError)
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:

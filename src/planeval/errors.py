@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one input-file reader."""
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Callable
 
 
 class PlanEvalError(Exception):
@@ -119,3 +122,21 @@ class ManifestError(PlanEvalError):
 
 class ConfigError(PlanEvalError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Input files
+# ---------------------------------------------------------------------------
+
+
+def read_text(path: str | Path, name: str,
+              error: Callable[[str], Exception] = PlanEvalError) -> str:
+    """The text of the file at *path*, UTF-8 with or without a byte-order mark.
+
+    An undecodable file raises ``error("<name> is not UTF-8: <reason>")``;
+    *name* tells the reader which file it was.  ``OSError`` passes through.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8: {exc}") from exc

@@ -84,19 +84,18 @@ def lcs_analyze(plan: Plan, gt: Plan) -> LcsResult:
     )
 
 
-def extract(plan: Plan, pairs: tuple[IndexPair, ...], label: str | None = None) -> Plan:
+def extract(plan: Plan, pairs: tuple[IndexPair, ...]) -> Plan:
     """Project the candidate side of *pairs* out of *plan*, preserving order."""
-    return Plan(tuple(plan[i - 1] for i, _ in pairs), label=label)
+    return Plan(tuple(plan[i - 1] for i, _ in pairs))
 
 
-def best_subplan(plan: Plan, lcs: LcsResult, problem: ProblemModel,
-                 label: str | None = None) -> Plan:
+def best_subplan(plan: Plan, lcs: LcsResult, problem: ProblemModel) -> Plan:
     """Prefer the contiguous sub-plan when it is valid on its own, else take
     the subsequence sub-plan; either may be empty.
 
     *lcs* is ``lcs_analyze(plan, gt)``, the analysis the caller already holds.
     """
-    substring_plan = extract(plan, lcs.substring, label=label)
+    substring_plan = extract(plan, lcs.substring)
     if is_valid(substring_plan, problem):
         return substring_plan
-    return extract(plan, lcs.subsequence, label=label)
+    return extract(plan, lcs.subsequence)

@@ -13,7 +13,7 @@ name and arguments when it is built.  Later layers compare them as they are.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -174,7 +174,6 @@ class GroundAction:
 @dataclass(frozen=True)
 class Plan:
     actions: tuple[GroundAction, ...] = ()
-    label: str | None = None
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -184,11 +183,8 @@ class Plan:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Plan(self.actions[index], label=self.label)
+            return Plan(self.actions[index])
         return self.actions[index]
-
-    def with_label(self, label: str) -> "Plan":
-        return replace(self, label=label)
 
     def objects(self) -> set[str]:
         return {arg for action in self.actions for arg in action.args}
@@ -619,8 +615,7 @@ def resolve_action(name: str, args: Sequence[str], domain: DomainModel,
 # ---------------------------------------------------------------------------
 
 
-def parse_plan(text: str, domain: DomainModel, problem: ProblemModel,
-               label: str | None = None) -> Plan:
+def parse_plan(text: str, domain: DomainModel, problem: ProblemModel) -> Plan:
     """Leniently parse one action per line.
 
     Blank lines and ``;`` comments are skipped, parentheses are optional and
@@ -638,7 +633,7 @@ def parse_plan(text: str, domain: DomainModel, problem: ProblemModel,
                 raise MalformedLine(line_no, raw_line.strip())
             continue
         actions.append(resolve_action(tokens[0], tokens[1:], domain, problem))
-    return Plan(tuple(actions), label=label)
+    return Plan(tuple(actions))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .errors import (
     ManifestError,
     PlanEvalError,
     SearchBudgetExceeded,
+    read_text,
 )
 from .lcs import best_subplan, lcs_analyze
 from .pddl import DomainModel, Plan, ProblemModel, parse_domain, parse_plan, parse_problem
@@ -99,10 +100,10 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     evaluated as the empty plan.  Any stage failure is wrapped in
     :class:`InstanceError` naming the stage.
 
-    Each distinct action sequence among the ground truth and pi0 to pi4 is
-    simulated once, each distinct one among pi0 to pi3 is paired with the
-    ground truth once, and each distinct one among pi0 and pi1 is
-    LCS-analysed once; the stages that need those results are handed them.
+    The ground truth and pi0 to pi4 each get their own simulation, even when
+    two of them hold the same actions.  Each distinct action sequence among
+    pi0 to pi3 gets its StV once, and pi3 is pi2 when pi1 keeps pi0's
+    actions, so pi0's LCS analysis and sub-plan serve both.
     """
     if config is None:
         config = PipelineConfig()
@@ -119,8 +120,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
             raise InstanceError(name, exc) from exc
 
     if gt_plan_text is not None:
-        gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem,
-                        label="pi_gt")
+        gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem)
     else:
         # Keyed on exactly what a planner reads; the timeout only bounds the
         # search, and failures are never cached.
@@ -129,7 +129,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         if gt_plan is None:
             gt_plan = stage("solve-gt", solve_optimal, problem, domain,
                             timeout=config.planner_timeout,
-                            external_cmd=config.external_planner, label="pi_gt")
+                            external_cmd=config.external_planner)
             _cache_put(_GT_CACHE, cache_key, gt_plan, _GT_CACHE_SIZE)
     # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
     sim_gt = simulate(gt_plan, problem)
@@ -137,18 +137,8 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         raise InstanceError("check-gt", InvalidGroundTruth(
             f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
-    sims = {gt_plan.actions: sim_gt}
-
-    def simulated(plan: Plan) -> SimulationResult:
-        """The simulation of *plan*, shared by every plan of this row with the
-        same actions."""
-        sim = sims.get(plan.actions)
-        if sim is None:
-            sim = sims[plan.actions] = simulate(plan, problem)
-        return sim
-
-    pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, label="pi0")
-    sim0 = simulated(pi0)
+    pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem)
+    sim0 = simulate(pi0, problem)
 
     pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, provider=provider)
     np_aqm = non_positional_aqm(pi0, gt_plan, aqm, provider=provider)
@@ -164,13 +154,11 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         pi1, variant1 = exc.best
     except PlanEvalError as exc:
         raise InstanceError("transform", exc) from exc
-    pi1 = pi1.with_label("pi1")
 
-    pi2 = stage("subplan", best_subplan, pi0, lcs0, problem, label="pi2")
+    pi2 = stage("subplan", best_subplan, pi0, lcs0, problem)
     # pi3 is pi1's sub-plan; when pi1 keeps pi0's actions, that is pi2.
-    pi3 = (pi2.with_label("pi3") if pi1.actions == pi0.actions else
-           stage("subplan", best_subplan, pi1, lcs_analyze(pi1, gt_plan), problem,
-                 label="pi3"))
+    pi3 = (pi2 if pi1.actions == pi0.actions else
+           stage("subplan", best_subplan, pi1, lcs_analyze(pi1, gt_plan), problem))
 
     steps0 = stage("stv", steps_to_validity, pi0, aqm, pairing, gt_plan, problem)
     metrics = {"pi0": _plan_metrics(pi0, sim0, stv=len(steps0))}
@@ -180,7 +168,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
             pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, provider=provider)
             stv[plan.actions] = len(stage("stv", steps_to_validity, plan, aqm_k, pairing_k,
                                           gt_plan, problem))
-        metrics[key] = _plan_metrics(plan, simulated(plan), stv=stv[plan.actions])
+        metrics[key] = _plan_metrics(plan, simulate(plan, problem), stv=stv[plan.actions])
 
     # Potential per action; the empty plan is defaulted on the GT length.
     n_eff = len(pi0) if len(pi0) > 0 else len(gt_plan)
@@ -215,7 +203,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "transform_penalty": float(variant1.penalty),
         "penalized_score": float(variant1.penalized),
     })
-    metrics["pi4"] = _plan_metrics(outcome.final, simulated(outcome.final))
+    metrics["pi4"] = _plan_metrics(outcome.final, simulate(outcome.final, problem))
 
     return {
         "schema": SCHEMA_VERSION,
@@ -242,7 +230,6 @@ MANIFEST_COLUMNS = ("instance_id", "domain_path", "problem_path", "plan_path",
 
 @dataclass(frozen=True)
 class ManifestRow:
-    row_number: int
     instance_id: str
     domain_path: Path
     problem_path: Path
@@ -256,10 +243,7 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
     path = Path(path)
     base = path.parent
     rows: list[ManifestRow] = []
-    try:
-        text = path.read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(0, f"{path} is not UTF-8: {exc}") from exc
+    text = read_text(path, str(path), lambda message: ManifestError(0, message))
     with io.StringIO(text, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -275,7 +259,6 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
             gt_raw = (row.get("gt_plan_path") or "").strip()
             plan_raw = (row.get("plan_path") or "").strip()
             rows.append(ManifestRow(
-                row_number=row_number,
                 instance_id=row["instance_id"].strip(),
                 domain_path=base / row["domain_path"].strip(),
                 problem_path=base / row["problem_path"].strip(),
@@ -289,11 +272,9 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+        return read_text(path, str(path))
+    except (OSError, PlanEvalError) as exc:
         raise InstanceError("load", PlanEvalError(str(exc))) from exc
-    except UnicodeDecodeError as exc:
-        raise InstanceError("load", PlanEvalError(f"{path} is not UTF-8: {exc}")) from exc
 
 
 # Per-process cache of parsed (domain, problem) models, keyed on the two file
@@ -416,10 +397,7 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PlanEvalError(f"{path} is not UTF-8: {exc}") from exc
+    text = read_text(path, str(path))
     records = []
     for line_no, line in enumerate(text.split("\n"), 1):
         if line.strip():

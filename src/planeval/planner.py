@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from .errors import PlanningTimeout, PlanningUnsolvable
+from .errors import PlanningTimeout, PlanningUnsolvable, read_text
 from .pddl import (
     Atom,
     DomainModel,
@@ -244,8 +244,7 @@ def _search(task: _GroundTask, start: int, timeout: float,
 def solve_optimal(problem: ProblemModel, domain: DomainModel,
                   timeout: float = DEFAULT_TIMEOUT,
                   heuristic: Callable[[_GroundTask, int], float] = hmax,
-                  external_cmd: str | None = None,
-                  label: str | None = None) -> Plan:
+                  external_cmd: str | None = None) -> Plan:
     """Find the least optimal (minimum action count) plan; see the module
     docstring for the order.
 
@@ -254,18 +253,16 @@ def solve_optimal(problem: ProblemModel, domain: DomainModel,
     ``cmd domain.pddl problem.pddl out.plan`` instead of the built-in search.
     """
     if external_cmd:
-        return run_external_planner(external_cmd, domain, problem,
-                                    timeout=timeout, label=label)
+        return run_external_planner(external_cmd, domain, problem, timeout=timeout)
     task = _GroundTask(domain, problem)
     actions = _search(task, task.init_mask, timeout, heuristic)
-    return Plan(tuple(actions), label=label)
+    return Plan(tuple(actions))
 
 
 def replan_from(state: State, problem: ProblemModel, domain: DomainModel,
                 timeout: float = DEFAULT_TIMEOUT,
                 heuristic: Callable[[_GroundTask, int], float] = hmax,
-                external_cmd: str | None = None,
-                label: str | None = None) -> Plan:
+                external_cmd: str | None = None) -> Plan:
     """Solve the problem again with *state* as the initial state."""
     modified = ProblemModel(
         name=problem.name,
@@ -275,12 +272,11 @@ def replan_from(state: State, problem: ProblemModel, domain: DomainModel,
         goal=problem.goal,
     )
     return solve_optimal(modified, domain, timeout=timeout, heuristic=heuristic,
-                         external_cmd=external_cmd, label=label)
+                         external_cmd=external_cmd)
 
 
 def run_external_planner(cmd: str, domain: DomainModel, problem: ProblemModel,
-                         timeout: float | None = None,
-                         label: str | None = None) -> Plan:
+                         timeout: float | None = None) -> Plan:
     """Escape hatch: ``{cmd} {domain.pddl} {problem.pddl} {out.plan}``."""
     with tempfile.TemporaryDirectory(prefix="planeval-ext-") as tmp:
         tmp_path = Path(tmp)
@@ -292,7 +288,7 @@ def run_external_planner(cmd: str, domain: DomainModel, problem: ProblemModel,
         argv = [*shlex.split(cmd), str(domain_file), str(problem_file), str(out_file)]
         try:
             subprocess.run(argv, check=True, timeout=timeout,
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, errors="replace")
         except subprocess.TimeoutExpired as exc:
             raise PlanningTimeout(f"external planner exceeded {timeout} s") from exc
         except subprocess.CalledProcessError as exc:
@@ -301,5 +297,5 @@ def run_external_planner(cmd: str, domain: DomainModel, problem: ProblemModel,
             ) from exc
         if not out_file.exists():
             raise PlanningUnsolvable("external planner produced no plan file")
-        text = out_file.read_text(encoding="utf-8")
-    return parse_plan(text, domain, problem, label=label)
+        # Named without its temporary path, so error records stay deterministic.
+        return parse_plan(read_text(out_file, "external planner output"), domain, problem)

@@ -127,11 +127,10 @@ def recover(plan: Plan, gt: Plan, plan_sim: SimulationResult,
     """
     if plan_sim.valid:
         # Already valid: keep the whole plan, nothing to complete.
-        return RecoveryOutcome(corr=plan.with_label("pi_corr"), comp=Plan(label="pi_comp"),
-                               final=plan.with_label("pi4"))
+        return RecoveryOutcome(corr=plan, comp=Plan(), final=plan)
 
     k, prefix_length = divergence_point(plan_sim.trace, gt_sim.trace)
-    corr = Plan(plan.actions[:prefix_length], label="pi_corr")
-    comp = Plan(gt.actions[k:], label="pi_comp")
-    final = Plan(corr.actions + comp.actions, label="pi4")
+    corr = Plan(plan.actions[:prefix_length])
+    comp = Plan(gt.actions[k:])
+    final = Plan(corr.actions + comp.actions)
     return RecoveryOutcome(corr=corr, comp=comp, final=final)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .pddl import GroundAction, Plan
 
 ZERO = Fraction(0)
@@ -117,10 +117,7 @@ class SynonymTable:
     @classmethod
     def load(cls, path: str | Path) -> "SynonymTable":
         provider = cls()
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"synonym table {path} is not UTF-8: {exc}") from exc
+        text = read_text(path, f"synonym table {path}", ConfigError)
         for line_no, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

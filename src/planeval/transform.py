@@ -57,7 +57,7 @@ def circular_shift(plan: Plan, n: int) -> Plan:
     n %= length
     if n == 0:
         return plan
-    return Plan(plan.actions[-n:] + plan.actions[:-n], label=plan.label)
+    return Plan(plan.actions[-n:] + plan.actions[:-n])
 
 
 def _full_mapping(plan: Plan, mapping: Mapping[str, str]) -> dict[str, str]:
@@ -90,7 +90,7 @@ def remap_params(plan: Plan, mapping: Mapping[str, str],
         if remapped is None:
             remapped = resolved[key] = resolve_action(*key, domain, problem)
         actions.append(remapped)
-    return Plan(tuple(actions), label=plan.label)
+    return Plan(tuple(actions))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ def bw_problem(bw_domain):
 
 @pytest.fixture(scope="session")
 def gt_plan(bw_domain, bw_problem):
-    return parse_plan(INSTANCE_10_GT, bw_domain, bw_problem, label="pi_gt")
+    return parse_plan(INSTANCE_10_GT, bw_domain, bw_problem)
 
 
 @pytest.fixture(scope="session")
 def pi0_plan(bw_domain, bw_problem):
-    return parse_plan(INSTANCE_10_CANDIDATE, bw_domain, bw_problem, label="pi0")
+    return parse_plan(INSTANCE_10_CANDIDATE, bw_domain, bw_problem)
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,12 @@
 rebinds the functions it names, ``bench/worker.py`` checks that the
 ground-truth cache is empty before a batch, and ``bench/make_pool.py`` passes
 its own h_max to the planner.  A rename in ``src/`` would break ``bench/``
-silently, so these names are checked here."""
+silently, so these names, and every name ``bench/`` imports from planeval,
+are checked here."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import planeval
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS_PATH = BENCH / "spans.py"
 
 
 def load_spans():
@@ -48,3 +51,18 @@ def test_pool_builder_planner_hooks_exist():
         parameters = inspect.signature(search).parameters
         assert parameters["heuristic"].default is planner.hmax
         assert "timeout" in parameters
+
+
+def test_bench_imports_resolve():
+    imported = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path, alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported += [(path, node.module, alias.name) for alias in node.names]
+    imported = [entry for entry in imported if entry[1].partition(".")[0] == planeval.__name__]
+    assert imported
+    for path, module_name, name in imported:
+        module = importlib.import_module(module_name)
+        assert name is None or hasattr(module, name), f"{path.name}: {module_name}.{name}"

@@ -86,7 +86,7 @@ def test_matches_brute_force_oracle():
 
 
 def test_best_subplan_pi0_is_single_invalid_action(pi0_plan, gt_plan, bw_problem):
-    pi2 = best_subplan(pi0_plan, lcs_analyze(pi0_plan, gt_plan), bw_problem, label="pi2")
+    pi2 = best_subplan(pi0_plan, lcs_analyze(pi0_plan, gt_plan), bw_problem)
     assert pi2.keys() == (("pick-up", ("c",)),)
     assert not is_valid(pi2, bw_problem)
 
@@ -97,7 +97,7 @@ def test_best_subplan_pi1_recovers_gt(bw_domain, bw_problem, gt_plan):
         "(unstack b c)\n(put-down b)\n(pick-up c)\n(stack c b)\n"
         "(unstack c b)\n(put-down c)\n(pick-up a)\n(stack a c)\n",
         bw_domain, bw_problem)
-    pi3 = best_subplan(pi1, lcs_analyze(pi1, gt_plan), bw_problem, label="pi3")
+    pi3 = best_subplan(pi1, lcs_analyze(pi1, gt_plan), bw_problem)
     assert pi3.keys() == gt_plan.keys()
     assert is_valid(pi3, bw_problem)
 

@@ -104,13 +104,12 @@ def test_invalid_gt_is_a_check_gt_error(bw_domain, bw_problem, gt_text):
     assert excinfo.value.stage == "check-gt"
 
 
-def test_each_plan_is_simulated_and_analysed_once(monkeypatch, bw_domain, bw_problem):
-    # Simulations through is_valid and calls inside the pi1 search do not count.
-    from planeval import lcs, recovery, simulator
+def test_each_plan_is_analysed_and_subplanned_once(monkeypatch, bw_domain, bw_problem):
+    # Calls inside the pi1 search do not count.
+    from planeval import lcs
 
-    calls = {"simulate": [], "lcs_analyze": [], "best_subplan": []}
-    for original, modules in ((simulator.simulate, (pipeline, recovery)),
-                              (lcs.lcs_analyze, (pipeline, lcs)),
+    calls = {"lcs_analyze": [], "best_subplan": []}
+    for original, modules in ((lcs.lcs_analyze, (pipeline, lcs)),
                               (lcs.best_subplan, (pipeline,))):
         def counting(plan, *args, _original=original, **kwargs):
             calls[_original.__name__].append(plan.actions)
@@ -119,18 +118,14 @@ def test_each_plan_is_simulated_and_analysed_once(monkeypatch, bw_domain, bw_pro
         for module in modules:
             if hasattr(module, original.__name__):
                 monkeypatch.setattr(module, original.__name__, counting)
-    for candidate, simulations, analyses in (
-            # Six plans (GT, pi0 to pi4), but pi3 and pi4 both equal the GT, so
-            # four distinct action sequences; pi1 is a shift of pi0, so two LCS
-            # analyses and two sub-plans.
-            (INSTANCE_10_CANDIDATE, 4, 2),
-            # Every plan is the GT, so one simulation; pi1 keeps pi0's actions,
-            # so pi0's analysis and sub-plan serve pi3 too.
-            (INSTANCE_10_GT, 1, 1)):
+    for candidate, analyses in (
+            # pi1 is a shift of pi0, so two LCS analyses and two sub-plans.
+            (INSTANCE_10_CANDIDATE, 2),
+            # pi1 keeps pi0's actions, so pi0's analysis and sub-plan serve pi3 too.
+            (INSTANCE_10_GT, 1)):
         for seen in calls.values():
             seen.clear()
         evaluate_instance(bw_domain, bw_problem, candidate, gt_plan_text=INSTANCE_10_GT)
-        assert len(calls["simulate"]) == len(set(calls["simulate"])) == simulations
         assert len(calls["lcs_analyze"]) == analyses
         assert len(calls["best_subplan"]) == analyses
 
@@ -235,8 +230,7 @@ def test_batch_is_deterministic_across_jobs(tmp_path):
 
 
 def _rows(problem_paths: list[Path]) -> list[pipeline.ManifestRow]:
-    return [pipeline.ManifestRow(index + 2, f"row-{index}", BW_DOMAIN_PATH, path, None,
-                                 None, "m", "p")
+    return [pipeline.ManifestRow(f"row-{index}", BW_DOMAIN_PATH, path, None, None, "m", "p")
             for index, path in enumerate(problem_paths)]
 
 
@@ -440,6 +434,46 @@ def test_gt_cache_keys_on_external_planner(tmp_path):
     config = PipelineConfig(external_planner=f"python3 {script}")
     record = evaluate_batch(manifest, config=config).records[0]
     assert record["gt_length"] == 8
+
+
+def fake_planner(tmp_path: Path, plan: bytes) -> PipelineConfig:
+    """A config whose external planner writes *plan* as its plan file and,
+    like a planner speaking another encoding, a non-UTF-8 byte on stdout."""
+    script = tmp_path / "fake_planner.py"
+    script.write_text(
+        "import sys\n"
+        f"open(sys.argv[3], 'wb').write({plan!r})\n"
+        "sys.stdout.buffer.write(b'\\xff\\n')\n"
+    )
+    return PipelineConfig(external_planner=f"python3 {script}")
+
+
+def test_undecodable_planner_output_is_one_solve_gt_error_per_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    (tmp_path / "candidate.plan").write_text(INSTANCE_10_CANDIDATE)
+    (tmp_path / "gt.plan").write_text(INSTANCE_10_GT)
+    manifest = write_manifest(tmp_path, [
+        manifest_row(name, BW_DOMAIN_PATH, BW_PROBLEM_PATH, "candidate.plan")
+        for name in ("first", "second")
+    ] + [manifest_row("gt-file", BW_DOMAIN_PATH, BW_PROBLEM_PATH, "candidate.plan",
+                      "gt.plan")])
+    result = evaluate_batch(manifest, config=fake_planner(tmp_path, b"(pick-up a)\xff\n"))
+    assert result.failed_rows == ["first", "second"]
+    first, second, gt_file = result.records
+    assert first["error"] == second["error"] == {
+        "stage": "solve-gt",
+        "message": "external planner output is not UTF-8: 'utf-8' codec can't decode "
+                   "byte 0xff in position 11: invalid start byte"}
+    assert gt_file["pi4"]["valid"] is True
+
+
+def test_planner_output_with_byte_order_mark_gives_the_gt_file_record(
+        tmp_path, monkeypatch, bw_domain, bw_problem):
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    config = fake_planner(tmp_path, ("\ufeff" + INSTANCE_10_GT).encode("utf-8"))
+    assert (evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE, config=config)
+            == evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                                 gt_plan_text=INSTANCE_10_GT))
 
 
 def test_gt_cache_is_shared_by_evaluate_instance(monkeypatch, bw_domain, bw_problem):
@@ -662,6 +696,14 @@ def test_config_hash_inside_value_is_kept(tmp_path):
     config = load_config(path)
     assert config.external_planner == "run --tag=a#b"
     assert config.budget == 7
+
+
+def test_config_with_byte_order_mark_loads_the_plain_values(tmp_path):
+    text = "planner.timeout = 2.5\ntransform.budget = 7\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_config(marked) == load_config(plain) != PipelineConfig()
 
 
 def test_config_unknown_key(tmp_path):

@@ -76,6 +76,12 @@ def test_synonym_table_load(tmp_path):
     assert table("lift", "stack") == 0
 
 
+def test_synonym_table_with_byte_order_mark_scores_its_first_pair(tmp_path):
+    path = tmp_path / "synonyms.txt"
+    path.write_text("\ufeffpick-up lift 0.8\n", encoding="utf-8")
+    assert SynonymTable.load(path)("lift", "pick-up") == Fraction(4, 5)
+
+
 def test_synonym_table_rejects_bad_scores(tmp_path):
     path = tmp_path / "synonyms.txt"
     path.write_text("a b 1.5\n")

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -43,12 +43,15 @@ from .transform import find_best_variant
 
 SCHEMA_VERSION = 3
 
-REPORT_COLUMNS = [
-    "model", "prompt_type", "domain", "instances",
-    "pi0_SR", "Score", "AQM", "StV", "LEA",
-    "pi1_SR", "pi2_SR", "pi2_LEA", "pi3_SR", "pi3_StV", "pi3_LEA",
-    "pi4_SR", "corr_len",
-]
+#: Each metric column of the aggregate CSV and the record field it averages.
+_METRIC_FIELDS = {
+    "pi0_SR": "pi0.valid", "Score": "pi0.normalized_score", "AQM": "pi0.aqm_score",
+    "StV": "pi0.stv", "LEA": "pi0.lea",
+    "pi1_SR": "pi1.valid", "pi2_SR": "pi2.valid", "pi2_LEA": "pi2.lea",
+    "pi3_SR": "pi3.valid", "pi3_StV": "pi3.stv", "pi3_LEA": "pi3.lea",
+    "pi4_SR": "pi4.valid", "corr_len": "corr_length",
+}
+REPORT_COLUMNS = ["model", "prompt_type", "domain", "instances", *_METRIC_FIELDS]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +110,6 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     """
     if config is None:
         config = PipelineConfig()
-    provider = config.provider()
     flags = {
         "generation_missing": plan_text is None,
         "transform_budget_exceeded": False,
@@ -140,15 +142,14 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem)
     sim0 = simulate(pi0, problem)
 
-    pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, provider=provider)
-    np_aqm = non_positional_aqm(pi0, gt_plan, aqm, provider=provider)
+    pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, config.similarity)
+    np_aqm = non_positional_aqm(pi0, gt_plan, aqm, config.similarity)
     lcs0 = stage("lcs", lcs_analyze, pi0, gt_plan)
     breakdown0 = stage("score", plan_score, pi0, gt_plan, pairing, lcs0, sim0.valid)
     normalized0 = normalize_score(breakdown0, pi0, gt_plan)
 
     try:
-        pi1, variant1 = find_best_variant(pi0, gt_plan, problem, domain, config,
-                                          provider=provider)
+        pi1, variant1 = find_best_variant(pi0, gt_plan, problem, domain, config)
     except SearchBudgetExceeded as exc:
         flags["transform_budget_exceeded"] = True
         pi1, variant1 = exc.best
@@ -165,7 +166,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     stv = {pi0.actions: len(steps0)}
     for key, plan in (("pi1", pi1), ("pi2", pi2), ("pi3", pi3)):
         if plan.actions not in stv:
-            pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, provider=provider)
+            pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, config.similarity)
             stv[plan.actions] = len(stage("stv", steps_to_validity, plan, aqm_k, pairing_k,
                                           gt_plan, problem))
         metrics[key] = _plan_metrics(plan, simulate(plan, problem), stv=stv[plan.actions])
@@ -333,46 +334,40 @@ def _evaluate_row_safe(row: ManifestRow, config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _record_field(record: dict, position: int, name: str):
+    """The value at the dotted *name* of the *position*-th (1-based) record."""
+    value = record
+    for key in name.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise PlanEvalError(f"record {position} has no field '{name}'")
+        value = value[key]
+    return value
+
+
 def aggregate(records: list[dict]) -> list[dict]:
     """Group records by (model, prompt_type, domain) and average each metric.
 
     Error records are skipped; defaulted records participate fully, so SR
-    denominators cover every evaluated instance.
+    denominators cover every evaluated instance.  A record that lacks a
+    field read here raises :class:`PlanEvalError` naming it.
     """
     groups: dict[tuple[str, str, str], list[dict]] = {}
-    for record in records:
+    for position, record in enumerate(records, 1):
         if "error" in record:
             continue
-        key = (record["model"], record["prompt_type"], record["domain"])
-        groups.setdefault(key, []).append(record)
+        values = {name: _record_field(record, position, name) for name in
+                  ("model", "prompt_type", "domain", *_METRIC_FIELDS.values())}
+        key = (values["model"], values["prompt_type"], values["domain"])
+        groups.setdefault(key, []).append(values)
 
     rows = []
     for key in sorted(groups):
         members = groups[key]
-        count = len(members)
-
-        def mean(values) -> float:
-            return sum(values) / count
-
-        rows.append({
-            "model": key[0],
-            "prompt_type": key[1],
-            "domain": key[2],
-            "instances": count,
-            "pi0_SR": mean(float(r["pi0"]["valid"]) for r in members),
-            "Score": mean(r["pi0"]["normalized_score"] for r in members),
-            "AQM": mean(r["pi0"]["aqm_score"] for r in members),
-            "StV": mean(r["pi0"]["stv"] for r in members),
-            "LEA": mean(r["pi0"]["lea"] for r in members),
-            "pi1_SR": mean(float(r["pi1"]["valid"]) for r in members),
-            "pi2_SR": mean(float(r["pi2"]["valid"]) for r in members),
-            "pi2_LEA": mean(r["pi2"]["lea"] for r in members),
-            "pi3_SR": mean(float(r["pi3"]["valid"]) for r in members),
-            "pi3_StV": mean(r["pi3"]["stv"] for r in members),
-            "pi3_LEA": mean(r["pi3"]["lea"] for r in members),
-            "pi4_SR": mean(float(r["pi4"]["valid"]) for r in members),
-            "corr_len": mean(r["corr_length"] for r in members),
-        })
+        row = {"model": key[0], "prompt_type": key[1], "domain": key[2],
+               "instances": len(members)}
+        for column, name in _METRIC_FIELDS.items():
+            row[column] = sum(float(values[name]) for values in members) / len(members)
+        rows.append(row)
     return rows
 
 
@@ -402,9 +397,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
     for line_no, line in enumerate(text.split("\n"), 1):
         if line.strip():
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise PlanEvalError(f"{path} line {line_no} is not JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise PlanEvalError(f"{path} line {line_no} is not a JSON object")
+            records.append(record)
     return records
 
 
@@ -470,8 +468,6 @@ def evaluate_batch(manifest_path: str | Path, jobs: int = 1,
     if config is None:
         config = PipelineConfig()
     rows = load_manifest(manifest_path)
-    # A bad synonym table fails the batch here, before any row runs.
-    config = replace(config, resolved_provider=config.provider())
 
     if jobs <= 1:
         records = _evaluate_rows(rows, config)

@@ -5,10 +5,11 @@ params')`` where ``C = 0.25*F + 0.1*M - 0.1*|arity gap|``: F counts exact
 positional parameter matches and M counts objects present in both argument
 lists but never at a shared position.
 
-Name similarity is pluggable.  The strict provider (1.0 on equal names,
-else a synonym-table lookup, else 0.0) is the pipeline default, so no
-credit leaks across different action names; :class:`CharLcsSimilarity` is
-the fuzzier character-overlap alternative.
+Name similarity is pluggable.  The strict :func:`exact_name_similarity`
+(1.0 on equal names, else 0.0) is the pipeline default, so no credit leaks
+across different action names; :class:`SynonymTable` extends it with
+user-supplied synonym scores, and :class:`CharLcsSimilarity` is the fuzzier
+character-overlap alternative.  Providers compare by value.
 
 All scores are exact :class:`fractions.Fraction` values.
 """
@@ -16,7 +17,7 @@ All scores are exact :class:`fractions.Fraction` values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
@@ -80,11 +81,11 @@ def exact_name_similarity(a: str, b: str) -> Fraction:
     return ONE if a.lower() == b.lower() else ZERO
 
 
+@dataclass(frozen=True)
 class CharLcsSimilarity:
     """Fuzzy provider: ``2*|charLCS| / (|a|+|b|)`` when above *floor*, else 0."""
 
-    def __init__(self, floor: Fraction = Fraction(1, 2)):
-        self.floor = Fraction(floor)
+    floor: Fraction = Fraction(1, 2)
 
     def __call__(self, a: str, b: str) -> Fraction:
         a, b = a.lower(), b.lower()
@@ -96,6 +97,7 @@ class CharLcsSimilarity:
         return ratio if ratio >= self.floor else ZERO
 
 
+@dataclass
 class SynonymTable:
     """Strict provider with user-supplied synonym scores.
 
@@ -103,9 +105,11 @@ class SynonymTable:
     ``score`` in [0, 1]; lookups are symmetric and case-insensitive.
     """
 
-    def __init__(self, table: Mapping[tuple[str, str], Fraction] | None = None):
-        self.table: dict[tuple[str, str], Fraction] = {}
-        for (a, b), score in (table or {}).items():
+    table: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        entries, self.table = self.table, {}
+        for (a, b), score in entries.items():
             self._add(a, b, Fraction(score))
 
     def _add(self, a: str, b: str, score: Fraction) -> None:
@@ -156,15 +160,13 @@ def param_score(p: tuple[str, ...] | list[str], q: tuple[str, ...] | list[str]) 
 
 
 def action_similarity(a: GroundAction, b: GroundAction,
-                      provider: NameSimilarityProvider | None = None) -> Fraction:
+                      provider: NameSimilarityProvider = exact_name_similarity) -> Fraction:
     """``S = sigma + C`` floored at zero; pairing requires S > 0."""
-    if provider is None:
-        provider = exact_name_similarity
     score = Fraction(provider(a.name, b.name)) + param_score(a.args, b.args)
     return score if score > ZERO else ZERO
 
 
-def make_similarity_cache(provider: NameSimilarityProvider | None = None
+def make_similarity_cache(provider: NameSimilarityProvider = exact_name_similarity
                           ) -> Callable[[GroundAction, GroundAction], Fraction]:
     """Memoised ``action_similarity``, keyed by action identity."""
     cache: dict[tuple, Fraction] = {}
@@ -212,7 +214,7 @@ class ActionQualityMap:
 
 
 def pair_actions(plan: Plan, gt: Plan,
-                 provider: NameSimilarityProvider | None = None,
+                 provider: NameSimilarityProvider = exact_name_similarity,
                  sim: Callable[[GroundAction, GroundAction], Fraction] | None = None,
                  ) -> tuple[PairingResult, ActionQualityMap]:
     """One-to-one pairing of candidate actions against ground-truth actions.
@@ -230,8 +232,7 @@ def pair_actions(plan: Plan, gt: Plan,
     their recomputed similarity.
     """
     if sim is None:
-        sim_provider = provider if provider is not None else exact_name_similarity
-        sim = make_similarity_cache(sim_provider)
+        sim = make_similarity_cache(provider)
     plan_keys, gt_keys = plan.keys(), gt.keys()
     n, m = len(plan_keys), len(gt_keys)
     labels: list[QualityLabel | None] = [None] * n
@@ -290,13 +291,12 @@ def pair_actions(plan: Plan, gt: Plan,
 
 
 def non_positional_aqm(plan: Plan, gt: Plan, aqm: ActionQualityMap,
-                       provider: NameSimilarityProvider | None = None) -> ActionQualityMap:
+                       provider: NameSimilarityProvider = exact_name_similarity
+                       ) -> ActionQualityMap:
     """Position-agnostic relabelling of *aqm*, the quality map of *plan*
     against *gt*: misplaced becomes correct and redundant actions are
     relabelled against the full (re-usable) ground-truth pool; redundant
     survives only at zero similarity to every ground-truth action."""
-    if provider is None:
-        provider = exact_name_similarity
     gt_names = {action.name for action in gt}
     labels = list(aqm.labels)
     for i, label in enumerate(labels):

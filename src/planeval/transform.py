@@ -26,7 +26,7 @@ from .errors import ConfigError, NonBijectiveMapping, SearchBudgetExceeded
 from .lcs import lcs_analyze
 from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
 from .scoring import ScoreBreakdown, plan_score, score_ceiling
-from .similarity import NameSimilarityProvider, make_similarity_cache, pair_actions
+from .similarity import make_similarity_cache, pair_actions
 from .simulator import is_valid
 
 
@@ -188,7 +188,6 @@ def score_variant(variant: Plan, transformation: Transformation, penalty: Fracti
 
 def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                       domain: DomainModel, config: PipelineConfig | None = None,
-                      provider: NameSimilarityProvider | None = None,
                       ) -> tuple[Plan, VariantScore]:
     """Select the best variant over every (mapping, shift) combination.
 
@@ -219,13 +218,11 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     if config.c_shift < 0 or config.c_map < 0:
         raise ConfigError(f"transform costs must be >= 0, got c_shift={config.c_shift} "
                           f"and c_map={config.c_map}")
-    if provider is None:
-        provider = config.provider()
     objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
     length = len(plan)
     shifts = list(range(length)) if length else [0]
-    sim = make_similarity_cache(provider)
-    ceiling_of = score_ceiling(plan, gt, objs, provider)
+    sim = make_similarity_cache(config.similarity)
+    ceiling_of = score_ceiling(plan, gt, objs, config.similarity)
     # The ceiling never rises as a mapping is extended, so the empty
     # mapping's, computed at most once, bounds every node: a test it already
     # answers needs no ceiling of the node's own.

@@ -268,13 +268,13 @@ def penalty_oracle(transformation, plan_length: int, config):
 
 
 def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
-                         domain: DomainModel, config, provider=None, only=None):
+                         domain: DomainModel, config, only=None):
     """Score every (mapping, shift) variant and rank with an explicit sort.
 
     Ordering: valid first, then highest penalized score, then fewest total
     changes, then smallest shift, then lexicographically smallest mapping.
-    Names are compared by *provider* (default: ``config.provider()``).  With
-    *only*, a collection of transformations, just those variants are ranked.
+    Names are compared by ``config.similarity``.  With *only*, a collection
+    of transformations, just those variants are ranked.
     """
     from planeval.similarity import make_similarity_cache
     from planeval.transform import (
@@ -284,7 +284,7 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
         score_variant,
     )
 
-    sim = make_similarity_cache(provider if provider is not None else config.provider())
+    sim = make_similarity_cache(config.similarity)
     objs = sorted(plan.objects())
     shifts = list(range(len(plan))) if len(plan) else [0]
     enumeration = [(perm, shift) for perm in itertools.permutations(objs)

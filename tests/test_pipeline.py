@@ -13,9 +13,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
 from planeval.config import _KEY_MAP
-from planeval.errors import ConfigError, InstanceError, ManifestError, ZeroLengthGroundTruth
+from planeval.errors import (
+    ConfigError,
+    InstanceError,
+    ManifestError,
+    PlanEvalError,
+    ZeroLengthGroundTruth,
+)
 from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
+from planeval.similarity import CharLcsSimilarity, SynonymTable
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
 
@@ -680,10 +687,56 @@ def test_config_file_overrides(tmp_path):
     assert config.c_map == 2
     assert config.budget == 1000
     assert config.validity_reward == Fraction(1, 4)
-    assert config.similarity_provider == "char_lcs"
+    assert config.similarity == CharLcsSimilarity(Fraction(3, 5))
     assert config.planner_timeout == 2.5
-    provider = config.provider()
-    assert provider("unstack", "stack") == Fraction(10, 12)
+    assert config.similarity("unstack", "stack") == Fraction(10, 12)
+
+
+@pytest.mark.parametrize("lines", [
+    ["similarity.floor = 0.6", "similarity.provider = char_lcs"],
+    ["similarity.provider = char_lcs", "similarity.floor = 0.6"],
+], ids=["floor-first", "provider-first"])
+def test_config_similarity_keys_in_any_order(tmp_path, lines):
+    path = tmp_path / "planeval.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(path) == PipelineConfig(similarity=CharLcsSimilarity(Fraction(3, 5)))
+
+
+def test_config_unknown_similarity_provider_names_the_line(tmp_path):
+    path = tmp_path / "planeval.cfg"
+    path.write_text("transform.budget = 7\nsimilarity.provider = fuzzy\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "config line 2: unknown similarity.provider 'fuzzy'")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_config_rejects_a_timeout_that_is_not_finite_and_positive(tmp_path, value):
+    # NaN or infinity would switch the planner's wall-clock bound off.
+    path = tmp_path / "planeval.cfg"
+    path.write_text(f"transform.budget = 7\nplanner.timeout = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config line 2: 'planner.timeout' must be finite and > 0, got {value}")):
+        load_config(path)
+    path.write_text("planner.timeout = 1e-3\n")
+    assert load_config(path).planner_timeout == 0.001
+
+
+def test_readme_config_example_loads(tmp_path):
+    # The README's example sets every key; a renamed or dropped key fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme.split("## Configuration", 1)[1],
+                        re.S).group(1)
+    assert {line.split("=")[0].strip() for line in example.splitlines()} == set(_KEY_MAP)
+    table = tmp_path / "syn.txt"
+    table.write_text("pick-up lift 0.9\n")
+    path = tmp_path / "planeval.cfg"
+    path.write_text(re.sub(r"(?m)^(similarity\.synonyms\s*=\s*)\S+",
+                           lambda m: m.group(1) + str(table), example))
+    assert load_config(path) == PipelineConfig(
+        c_shift=Fraction(1), c_map=Fraction(1), budget=100_000, validity_reward=Fraction(1),
+        similarity=SynonymTable({("pick-up", "lift"): Fraction(9, 10)}),
+        planner_timeout=10.0, external_planner="...")
 
 
 def test_config_hash_inside_value_is_kept(tmp_path):
@@ -723,9 +776,15 @@ def test_config_rejects_the_removed_prune_threshold(tmp_path):
 
 
 def test_config_key_map_covers_every_field():
-    # Every field but the resolved provider is set by exactly one config key.
-    settable = [f.name for f in fields(PipelineConfig) if f.name != "resolved_provider"]
-    assert sorted(attr for attr, _ in _KEY_MAP.values()) == sorted(settable)
+    # Every field but the provider is set by exactly one config key; the
+    # provider is built from the three similarity.* keys.
+    keys_of: dict[str, list[str]] = {}
+    for key, (attr, _) in _KEY_MAP.items():
+        keys_of.setdefault(attr, []).append(key)
+    assert sorted(keys_of) == sorted(f.name for f in fields(PipelineConfig))
+    assert sorted(keys_of.pop("similarity")) == [
+        "similarity.floor", "similarity.provider", "similarity.synonyms"]
+    assert all(len(keys) == 1 for keys in keys_of.values())
 
 
 @pytest.mark.parametrize("key", ["transform.c_shift", "transform.c_map"])
@@ -759,25 +818,46 @@ def test_config_synonyms_provider(tmp_path):
     synonyms.write_text("pick-up lift 0.9\n")
     path = tmp_path / "planeval.cfg"
     path.write_text(f"similarity.synonyms = {synonyms}\n")
-    provider = load_config(path).provider()
+    provider = load_config(path).similarity
     assert provider("lift", "pick-up") == Fraction(9, 10)
     assert provider("unstack", "stack") == 0
+    # char_lcs ignores the table.
+    path.write_text(f"similarity.synonyms = {synonyms}\nsimilarity.provider = char_lcs\n")
+    assert load_config(path).similarity == CharLcsSimilarity()
 
 
-def test_batch_loads_synonym_table_once(tmp_path, monkeypatch):
-    from planeval.similarity import SynonymTable
-
+def _synonym_config(tmp_path, monkeypatch) -> tuple[PipelineConfig, list]:
+    """A config loaded from a file naming a synonym table, and the list of
+    paths that ``SynonymTable.load`` reads from then on."""
     synonyms = tmp_path / "syn.txt"
     synonyms.write_text("pick-up lift 0.9\n")
-    config = PipelineConfig(synonyms=str(synonyms))
-    loads = []
+    path = tmp_path / "planeval.cfg"
+    path.write_text(f"similarity.synonyms = {synonyms}\n")
+    loads: list = []
     original = SynonymTable.load.__func__
     monkeypatch.setattr(SynonymTable, "load",
                         classmethod(lambda cls, path: loads.append(path) or original(cls, path)))
+    config = load_config(path)
+    assert loads == [str(synonyms)]
+    loads.clear()
+    return config, loads
+
+
+def test_batch_loads_synonym_table_once(tmp_path, monkeypatch):
+    # load_config reads the table; no row reads it again.
+    config, loads = _synonym_config(tmp_path, monkeypatch)
     result = evaluate_batch(two_instance_manifest(tmp_path), config=config)
     assert not result.had_errors
-    assert loads == [str(synonyms)]
-    assert config.resolved_provider is None  # the caller's config is not changed
+    assert loads == []
+
+
+def test_evaluate_instance_never_loads_synonym_table(tmp_path, monkeypatch,
+                                                     bw_domain, bw_problem):
+    config, loads = _synonym_config(tmp_path, monkeypatch)
+    for _ in range(2):
+        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                          gt_plan_text=INSTANCE_10_GT, config=config)
+    assert loads == []
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +1000,27 @@ def test_cli_batch_bad_synonym_table_fails_before_any_row(tmp_path, capsys):
     assert (f"error: synonym table {synonyms} line 1: expected 'name1 name2 score'"
             in capsys.readouterr().err)
     assert not (tmp_path / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"a": 1}', "record 1 has no field 'model'"),
+    ("[1, 2]", "line 1 is not a JSON object"),
+], ids=["not-a-record", "not-an-object"])
+def test_cli_report_line_that_is_no_record_is_an_error_line(tmp_path, capsys, line, message):
+    records = tmp_path / "records.jsonl"
+    records.write_text(line + "\n")
+    code = cli_main(["report", str(records), "--out", str(tmp_path / "report.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_aggregate_names_the_record_and_the_missing_field():
+    record = {"model": "m", "prompt_type": "p", "domain": "d", "pi0": {"valid": True}}
+    with pytest.raises(PlanEvalError, match=re.escape(
+            "record 2 has no field 'pi0.normalized_score'")):
+        aggregate([{"error": {"stage": "load"}}, record])
 
 
 def test_cli_report_non_json_line_is_an_error_line(tmp_path, capsys):

@@ -24,7 +24,12 @@ from planeval import (
 )
 from planeval.errors import NonBijectiveMapping, SearchBudgetExceeded
 from planeval.pddl import GroundAction, Plan, ProblemModel, plan_to_text
-from planeval.similarity import SynonymTable, make_similarity_cache
+from planeval.similarity import (
+    CharLcsSimilarity,
+    SynonymTable,
+    exact_name_similarity,
+    make_similarity_cache,
+)
 from planeval.scoring import score_ceiling
 from planeval.transform import Transformation, score_variant
 
@@ -140,15 +145,13 @@ def test_find_best_variant_running_example(pi0_plan, gt_plan, bw_problem, bw_dom
 
 
 def test_find_best_variant_defaults_to_the_config_provider(bw_domain, bw_problem, gt_plan):
-    config = PipelineConfig(similarity_provider="char_lcs")
+    config = PipelineConfig(similarity=CharLcsSimilarity())
     plan = parse_plan("(pick-up a)\n(lift b)\n(stack b c)\n(unstack a a)\n",
                       bw_domain, bw_problem)
-    _, default = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
-    _, explicit = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config,
-                                    provider=config.provider())
+    _, fuzzy = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
     _, exact = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
-    assert default.penalized == explicit.penalized == Fraction(59, 6)
-    assert exact.penalized != default.penalized
+    assert fuzzy.penalized == Fraction(59, 6)
+    assert exact.penalized != fuzzy.penalized
 
 
 def test_identity_wins_for_perfect_plan(gt_plan, bw_problem, bw_domain):
@@ -187,7 +190,8 @@ def test_search_matches_exhaustive_oracle_small(bw_domain, bw_problem, gt_plan):
         assert best_plan.keys() == oracle.plan.keys()
 
 
-SYNONYMS = SynonymTable({("pick-up", "lift"): Fraction(1, 2)})
+PROVIDERS = {"exact": exact_name_similarity, "char_lcs": CharLcsSimilarity(),
+             "synonyms": SynonymTable({("pick-up", "lift"): Fraction(1, 2)})}
 
 
 def _random_plans(gt_plan, bw_domain, bw_problem, rng):
@@ -220,14 +224,10 @@ def test_search_matches_oracle_under_every_provider_and_cost(
     # (0, 0) makes many variants tie on the penalized score, so pruning on
     # equality and the tie-break are exercised.
     config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map),
-                            similarity_provider=("char_lcs" if provider_name == "char_lcs"
-                                                 else "exact"))
-    provider = SYNONYMS if provider_name == "synonyms" else config.provider()
+                            similarity=PROVIDERS[provider_name])
     for plan in _random_plans(gt_plan, bw_domain, bw_problem, random.Random(5)):
-        best_plan, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config,
-                                            provider=provider)
-        oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config,
-                                      provider=provider)
+        best_plan, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+        oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config)
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
         assert best.valid == oracle.valid
@@ -337,18 +337,15 @@ def test_skipped_mappings_match_oracle(monkeypatch, bw_domain, bw_problem, gt_pl
                                        logistics_domain, logistics_problems,
                                        provider_name, c_shift, c_map):
     config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map),
-                            similarity_provider=("char_lcs" if provider_name == "char_lcs"
-                                                 else "exact"))
-    provider = SYNONYMS if provider_name == "synonyms" else config.provider()
+                            similarity=PROVIDERS[provider_name])
     cases = list(_skip_cases(bw_domain, bw_problem, gt_plan, logistics_domain,
                              logistics_problems["log-01"], random.Random(13)))
     remaps = _count_remaps(monkeypatch)
     mappings = 0
     for plan, gt, problem, domain in cases:
         mappings += math.factorial(len(plan.objects()))
-        best_plan, best = find_best_variant(plan, gt, problem, domain, config,
-                                            provider=provider)
-        oracle = rank_variants_oracle(plan, gt, problem, domain, config, provider=provider)
+        best_plan, best = find_best_variant(plan, gt, problem, domain, config)
+        oracle = rank_variants_oracle(plan, gt, problem, domain, config)
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
         assert best.valid == oracle.valid
@@ -465,9 +462,9 @@ def test_search_leaves_no_cyclic_garbage(bw_domain, bw_problem, logistics_domain
 
 
 @pytest.mark.parametrize("provider, max_length", [
-    (PipelineConfig().provider(), 4),
-    (PipelineConfig(similarity_provider="char_lcs").provider(), 3),
-    (SYNONYMS, 3),
+    (PROVIDERS["exact"], 4),
+    (PROVIDERS["char_lcs"], 3),
+    (PROVIDERS["synonyms"], 3),
 ], ids=["exact", "char_lcs", "synonyms"])
 def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_plan,
                                                     provider, max_length):
@@ -500,11 +497,7 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
     assert checked > 2000
 
 
-@pytest.mark.parametrize("provider", [
-    PipelineConfig().provider(),
-    PipelineConfig(similarity_provider="char_lcs").provider(),
-    SYNONYMS,
-], ids=["exact", "char_lcs", "synonyms"])
+@pytest.mark.parametrize("provider", list(PROVIDERS.values()), ids=list(PROVIDERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_score_ceiling_never_rises_along_a_prefix(gt_plan, provider, data):

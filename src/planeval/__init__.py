@@ -33,7 +33,6 @@ from .scoring import (
     potential,
 )
 from .similarity import (
-    ActionQualityMap,
     CharLcsSimilarity,
     PairingResult,
     QualityLabel,
@@ -51,7 +50,6 @@ from .transform import Transformation, VariantScore, circular_shift, find_best_v
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionQualityMap",
     "ActionSchema",
     "Atom",
     "CharLcsSimilarity",

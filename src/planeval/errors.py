@@ -91,7 +91,8 @@ class NonBijectiveMapping(PlanEvalError):
 
 
 class SearchBudgetExceeded(PlanEvalError):
-    """The pi1 search hit its node budget; carries the best variant visited."""
+    """The pi1 search hit its node budget; ``best`` is the
+    :class:`~planeval.transform.VariantScore` of the best variant visited."""
 
     def __init__(self, message: str, best):
         self.best = best

@@ -402,8 +402,8 @@ def parse_domain(text: str) -> DomainModel:
             seen.add(current)
             current = types.get(current)
 
-    # Validate types referenced by predicates and schema parameters.
-    declared_predicates = {p.name: p.arity for p in predicates}
+    # Validate types referenced by predicates and schema parameters; every
+    # schema atom was checked against the declared predicates when parsed.
     for pred in predicates:
         for param in pred.params:
             if param.type not in types:
@@ -416,9 +416,6 @@ def parse_domain(text: str) -> DomainModel:
         for param in schema.params:
             if param.type not in types:
                 raise UndeclaredSymbol("type", param.type)
-        for atom in schema.preconditions | schema.add_effects | schema.del_effects:
-            if atom[0] not in declared_predicates:
-                raise UndeclaredSymbol("predicate", atom[0])
 
     return DomainModel(name, types, tuple(predicates), tuple(schemas))
 

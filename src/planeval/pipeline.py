@@ -142,32 +142,33 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem)
     sim0 = simulate(pi0, problem)
 
-    pairing, aqm = stage("pairing", pair_actions, pi0, gt_plan, config.similarity)
-    np_aqm = non_positional_aqm(pi0, gt_plan, aqm, config.similarity)
+    pairing = stage("pairing", pair_actions, pi0, gt_plan, config.similarity)
+    np_aqm = non_positional_aqm(pi0, gt_plan, pairing.labels, config.similarity)
     lcs0 = stage("lcs", lcs_analyze, pi0, gt_plan)
     breakdown0 = stage("score", plan_score, pi0, gt_plan, pairing, lcs0, sim0.valid)
     normalized0 = normalize_score(breakdown0, pi0, gt_plan)
 
     try:
-        pi1, variant1 = find_best_variant(pi0, gt_plan, problem, domain, config)
+        variant1 = find_best_variant(pi0, gt_plan, problem, domain, config)
     except SearchBudgetExceeded as exc:
         flags["transform_budget_exceeded"] = True
-        pi1, variant1 = exc.best
+        variant1 = exc.best
     except PlanEvalError as exc:
         raise InstanceError("transform", exc) from exc
+    pi1 = variant1.plan
 
     pi2 = stage("subplan", best_subplan, pi0, lcs0, problem)
     # pi3 is pi1's sub-plan; when pi1 keeps pi0's actions, that is pi2.
     pi3 = (pi2 if pi1.actions == pi0.actions else
            stage("subplan", best_subplan, pi1, lcs_analyze(pi1, gt_plan), problem))
 
-    steps0 = stage("stv", steps_to_validity, pi0, aqm, pairing, gt_plan, problem)
+    steps0 = stage("stv", steps_to_validity, pi0, pairing, gt_plan, problem)
     metrics = {"pi0": _plan_metrics(pi0, sim0, stv=len(steps0))}
     stv = {pi0.actions: len(steps0)}
     for key, plan in (("pi1", pi1), ("pi2", pi2), ("pi3", pi3)):
         if plan.actions not in stv:
-            pairing_k, aqm_k = stage("stv", pair_actions, plan, gt_plan, config.similarity)
-            stv[plan.actions] = len(stage("stv", steps_to_validity, plan, aqm_k, pairing_k,
+            pairing_k = stage("stv", pair_actions, plan, gt_plan, config.similarity)
+            stv[plan.actions] = len(stage("stv", steps_to_validity, plan, pairing_k,
                                           gt_plan, problem))
         metrics[key] = _plan_metrics(plan, simulate(plan, problem), stv=stv[plan.actions])
 
@@ -189,9 +190,9 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
             "total": float(breakdown0.total),
         },
         "normalized_score": float(normalized0),
-        "aqm": list(aqm.label_names()),
-        "np_aqm": list(np_aqm.label_names()),
-        "aqm_score": float(aqm_score(aqm)),
+        "aqm": [label.value for label in pairing.labels],
+        "np_aqm": [label.value for label in np_aqm],
+        "aqm_score": float(aqm_score(pairing.labels)),
         "np_aqm_score": float(aqm_score(np_aqm)),
         "per_action_scores": [float(s) for s in pairing.per_action_scores],
         "steps": [step.to_json() for step in steps0],
@@ -334,13 +335,22 @@ def _evaluate_row_safe(row: ManifestRow, config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_GROUP_FIELDS = ("model", "prompt_type", "domain")
+
+
 def _record_field(record: dict, position: int, name: str):
-    """The value at the dotted *name* of the *position*-th (1-based) record."""
+    """The value at the dotted *name* of the *position*-th (1-based) record:
+    a string for a group field, a JSON number or boolean for a metric."""
     value = record
     for key in name.split("."):
         if not isinstance(value, dict) or key not in value:
             raise PlanEvalError(f"record {position} has no field '{name}'")
         value = value[key]
+    kind, expected = ((str, "a string") if name in _GROUP_FIELDS else
+                      ((int, float), "a number or boolean"))
+    if not isinstance(value, kind):
+        raise PlanEvalError(f"record {position} field '{name}' is {json.dumps(value)}, "
+                            f"not {expected}")
     return value
 
 
@@ -349,15 +359,16 @@ def aggregate(records: list[dict]) -> list[dict]:
 
     Error records are skipped; defaulted records participate fully, so SR
     denominators cover every evaluated instance.  A record that lacks a
-    field read here raises :class:`PlanEvalError` naming it.
+    field read here, or holds one of the wrong type, raises
+    :class:`PlanEvalError` naming it.
     """
     groups: dict[tuple[str, str, str], list[dict]] = {}
     for position, record in enumerate(records, 1):
         if "error" in record:
             continue
         values = {name: _record_field(record, position, name) for name in
-                  ("model", "prompt_type", "domain", *_METRIC_FIELDS.values())}
-        key = (values["model"], values["prompt_type"], values["domain"])
+                  (*_GROUP_FIELDS, *_METRIC_FIELDS.values())}
+        key = tuple(values[name] for name in _GROUP_FIELDS)
         groups.setdefault(key, []).append(values)
 
     rows = []

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import shlex
 import subprocess
 import tempfile
@@ -31,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from .errors import PlanningTimeout, PlanningUnsolvable, read_text
+from .errors import ConfigError, PlanningTimeout, PlanningUnsolvable, read_text
 from .pddl import (
     Atom,
     DomainModel,
@@ -248,10 +249,14 @@ def solve_optimal(problem: ProblemModel, domain: DomainModel,
     """Find the least optimal (minimum action count) plan; see the module
     docstring for the order.
 
-    Raises :class:`PlanningUnsolvable` or :class:`PlanningTimeout`.  When
-    *external_cmd* is set the configured planner command is invoked as
-    ``cmd domain.pddl problem.pddl out.plan`` instead of the built-in search.
+    Raises :class:`PlanningUnsolvable` or :class:`PlanningTimeout`, and
+    :class:`ConfigError` when *timeout* is not finite and above 0, which
+    would switch the time bound off.  When *external_cmd* is set the
+    configured planner command is invoked as ``cmd domain.pddl problem.pddl
+    out.plan`` instead of the built-in search.
     """
+    if not 0 < timeout < math.inf:
+        raise ConfigError(f"planner timeout must be finite and > 0, got {timeout}")
     if external_cmd:
         return run_external_planner(external_cmd, domain, problem, timeout=timeout)
     task = _GroundTask(domain, problem)

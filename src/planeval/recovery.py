@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .pddl import GroundAction, Plan, ProblemModel, State
-from .similarity import ActionQualityMap, PairingResult, QualityLabel
+from .similarity import PairingResult, QualityLabel
 from .simulator import SimulationResult, is_valid
 
 
@@ -62,8 +62,8 @@ class RecoveryOutcome:
     final: Plan
 
 
-def steps_to_validity(plan: Plan, aqm: ActionQualityMap, pairing: PairingResult,
-                      gt: Plan, problem: ProblemModel) -> list[RepairStep]:
+def steps_to_validity(plan: Plan, pairing: PairingResult, gt: Plan,
+                      problem: ProblemModel) -> list[RepairStep]:
     """Label-guided edit steps toward the valid, optimal ground truth.
 
     Phase 1 removes every redundant action and stops if the pruned plan is
@@ -74,7 +74,7 @@ def steps_to_validity(plan: Plan, aqm: ActionQualityMap, pairing: PairingResult,
     """
     steps: list[RepairStep] = []
     kept_indices: list[int] = []
-    for i, label in enumerate(aqm.labels):
+    for i, label in enumerate(pairing.labels):
         if label is QualityLabel.REDUNDANT:
             steps.append(RepairStep(StepKind.REMOVE, index=i + 1))
         else:
@@ -85,7 +85,7 @@ def steps_to_validity(plan: Plan, aqm: ActionQualityMap, pairing: PairingResult,
 
     repairs = 0
     for i in kept_indices:
-        label = aqm.labels[i]
+        label = pairing.labels[i]
         if label is QualityLabel.CORRECT:
             continue
         steps.append(RepairStep(FIX_FOR_LABEL[label], index=i + 1))

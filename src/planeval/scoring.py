@@ -78,9 +78,8 @@ def plan_score(plan: Plan, gt: Plan, pairing: PairingResult | None,
         return ScoreBreakdown(base, ZERO, ZERO, ZERO, ZERO, penalty,
                               base - penalty, True)
     similarity_sum = sum(pairing.per_action_scores, ZERO)
-    pair_bonus = PAIR_BONUS * sum(
-        1 for pair in pairing.pairs if pair.label in _NAME_MATCH_LABELS
-    )
+    pair_bonus = PAIR_BONUS * sum(1 for label in pairing.labels
+                                  if label in _NAME_MATCH_LABELS)
     substring_bonus = SUBSTRING_BONUS_PER_ACTION * len(lcs.substring)
     subsequence_bonus = SUBSEQUENCE_BONUS_PER_ACTION * len(lcs.subsequence)
     total = (base + similarity_sum + pair_bonus + substring_bonus

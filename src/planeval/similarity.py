@@ -188,35 +188,20 @@ def make_similarity_cache(provider: NameSimilarityProvider = exact_name_similari
 
 
 @dataclass(frozen=True)
-class ActionPair:
-    candidate_index: int  # 1-based
-    gt_index: int  # 1-based
-    label: QualityLabel
-    score: Fraction
-
-
-@dataclass(frozen=True)
 class PairingResult:
-    pairs: tuple[ActionPair, ...]
-    per_action_scores: tuple[Fraction, ...]
-    unpaired: tuple[int, ...]  # 1-based candidate indices left redundant
+    """The pairing of a candidate plan against a ground truth, one entry per
+    candidate action: its label, its score and its 1-based ground-truth
+    partner, ``None`` when the action is redundant."""
 
-
-@dataclass(frozen=True)
-class ActionQualityMap:
     labels: tuple[QualityLabel, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(label.value for label in self.labels)
+    per_action_scores: tuple[Fraction, ...]
+    gt_indices: tuple[int | None, ...]
 
 
 def pair_actions(plan: Plan, gt: Plan,
                  provider: NameSimilarityProvider = exact_name_similarity,
                  sim: Callable[[GroundAction, GroundAction], Fraction] | None = None,
-                 ) -> tuple[PairingResult, ActionQualityMap]:
+                 ) -> PairingResult:
     """One-to-one pairing of candidate actions against ground-truth actions.
 
     Three phases, in label priority order:
@@ -235,32 +220,29 @@ def pair_actions(plan: Plan, gt: Plan,
         sim = make_similarity_cache(provider)
     plan_keys, gt_keys = plan.keys(), gt.keys()
     n, m = len(plan_keys), len(gt_keys)
-    labels: list[QualityLabel | None] = [None] * n
-    scores: list[Fraction] = [ZERO] * n
+    labels = [QualityLabel.REDUNDANT] * n
+    scores = [ZERO] * n
+    partners: list[int | None] = [None] * n
     taken = [False] * m
-    pairs: list[ActionPair] = []
+
+    def pair(i: int, j: int, label: QualityLabel, score: Fraction) -> None:
+        labels[i], scores[i], partners[i] = label, score, j + 1
+        taken[j] = True
 
     for i in range(min(n, m)):
         if plan_keys[i] == gt_keys[i]:
-            labels[i] = QualityLabel.CORRECT
-            scores[i] = FLAT_MATCH_SCORE
-            taken[i] = True
-            pairs.append(ActionPair(i + 1, i + 1, QualityLabel.CORRECT, FLAT_MATCH_SCORE))
+            pair(i, i, QualityLabel.CORRECT, FLAT_MATCH_SCORE)
 
     for i in range(n):
-        if labels[i] is not None:
+        if partners[i] is not None:
             continue
         for j in range(m):
             if not taken[j] and plan_keys[i] == gt_keys[j]:
-                labels[i] = QualityLabel.MISPLACED
-                scores[i] = FLAT_MATCH_SCORE
-                taken[j] = True
-                pairs.append(ActionPair(i + 1, j + 1, QualityLabel.MISPLACED,
-                                        FLAT_MATCH_SCORE))
+                pair(i, j, QualityLabel.MISPLACED, FLAT_MATCH_SCORE)
                 break
 
     for i in range(n):
-        if labels[i] is not None:
+        if partners[i] is not None:
             continue
         best = ZERO
         best_j = -1
@@ -272,48 +254,35 @@ def pair_actions(plan: Plan, gt: Plan,
                 best = score
                 best_j = j
         if best_j >= 0:
-            label = (QualityLabel.SAME_ACT if plan_keys[i][0] == gt_keys[best_j][0]
-                     else QualityLabel.DIFF_ACT)
-            labels[i] = label
-            scores[i] = best
-            taken[best_j] = True
-            pairs.append(ActionPair(i + 1, best_j + 1, label, best))
+            pair(i, best_j, QualityLabel.SAME_ACT if plan_keys[i][0] == gt_keys[best_j][0]
+                 else QualityLabel.DIFF_ACT, best)
 
-    unpaired = []
-    for i in range(n):
-        if labels[i] is None:
-            labels[i] = QualityLabel.REDUNDANT
-            unpaired.append(i + 1)
-
-    result = PairingResult(tuple(pairs), tuple(scores), tuple(unpaired))
-    aqm = ActionQualityMap(tuple(labels))  # type: ignore[arg-type]
-    return result, aqm
+    return PairingResult(tuple(labels), tuple(scores), tuple(partners))
 
 
-def non_positional_aqm(plan: Plan, gt: Plan, aqm: ActionQualityMap,
+def non_positional_aqm(plan: Plan, gt: Plan, labels: tuple[QualityLabel, ...],
                        provider: NameSimilarityProvider = exact_name_similarity
-                       ) -> ActionQualityMap:
-    """Position-agnostic relabelling of *aqm*, the quality map of *plan*
+                       ) -> tuple[QualityLabel, ...]:
+    """Position-agnostic relabelling of *labels*, the quality map of *plan*
     against *gt*: misplaced becomes correct and redundant actions are
     relabelled against the full (re-usable) ground-truth pool; redundant
     survives only at zero similarity to every ground-truth action."""
     gt_names = {action.name for action in gt}
-    labels = list(aqm.labels)
-    for i, label in enumerate(labels):
+    relabelled = list(labels)
+    for i, label in enumerate(relabelled):
         if label is QualityLabel.MISPLACED:
-            labels[i] = QualityLabel.CORRECT
+            relabelled[i] = QualityLabel.CORRECT
         elif label is QualityLabel.REDUNDANT:
             action = plan[i]
             if action.name in gt_names:
-                labels[i] = QualityLabel.SAME_ACT
+                relabelled[i] = QualityLabel.SAME_ACT
             elif any(action_similarity(action, g, provider) > ZERO for g in gt):
-                labels[i] = QualityLabel.DIFF_ACT
-    return ActionQualityMap(tuple(labels))
+                relabelled[i] = QualityLabel.DIFF_ACT
+    return tuple(relabelled)
 
 
-def aqm_score(aqm: ActionQualityMap) -> Fraction:
-    """Mean label value scaled to [0, 1]; an empty map scores 0."""
-    if len(aqm) == 0:
+def aqm_score(labels: tuple[QualityLabel, ...]) -> Fraction:
+    """Mean label value scaled to [0, 1]; no labels score 0."""
+    if not labels:
         return ZERO
-    total = sum(LABEL_VALUES[label] for label in aqm.labels)
-    return Fraction(total, 4 * len(aqm))
+    return Fraction(sum(LABEL_VALUES[label] for label in labels), 4 * len(labels))

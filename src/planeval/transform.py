@@ -46,7 +46,6 @@ class VariantScore:
     breakdown: ScoreBreakdown
     penalty: Fraction
     penalized: Fraction
-    valid: bool
 
 
 def circular_shift(plan: Plan, n: int) -> Plan:
@@ -180,16 +179,17 @@ def score_variant(variant: Plan, transformation: Transformation, penalty: Fracti
     valid = is_valid(variant, problem)
     # A valid variant's score reads neither its pairing nor its LCS analysis.
     breakdown = (plan_score(variant, gt, None, None, True) if valid else
-                 plan_score(variant, gt, pair_actions(variant, gt, sim=sim)[0],
+                 plan_score(variant, gt, pair_actions(variant, gt, sim=sim),
                             lcs_analyze(variant, gt), False))
     return VariantScore(transformation, variant, breakdown, penalty,
-                        breakdown.total - penalty, valid)
+                        breakdown.total - penalty)
 
 
 def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                       domain: DomainModel, config: PipelineConfig | None = None,
-                      ) -> tuple[Plan, VariantScore]:
-    """Select the best variant over every (mapping, shift) combination.
+                      ) -> VariantScore:
+    """Select the best variant over every (mapping, shift) combination and
+    return its score; the winning variant, pi1, is its ``plan``.
 
     Ranking: valid first, then penalized score, then fewer total changes,
     then the smaller shift, then the smaller mapping.  The identity
@@ -256,10 +256,9 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     def count_node() -> None:
         nonlocal nodes
         if nodes >= config.budget and (valid is not None or best is not None):
-            found = winner()
             raise SearchBudgetExceeded(
                 f"variant search exceeded its budget of {config.budget} nodes",
-                best=(found.plan, found))
+                best=winner())
         nodes += 1
 
     def skip(images: tuple[str, ...]) -> bool:
@@ -313,5 +312,4 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
             if (best is None or candidate.penalized > best.penalized
                     or (candidate.penalized == best.penalized and rank < best_rank)):
                 best, best_rank, limit = candidate, rank, None
-    found = winner()
-    return found.plan, found
+    return winner()

@@ -304,7 +304,7 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
 
     def sort_key(vs):
         return (
-            not vs.valid,
+            not vs.breakdown.valid,
             -vs.penalized,
             total_changes(vs.transformation, len(plan)),
             vs.transformation.shift,

@@ -61,18 +61,18 @@ def _report(number: int, elapsed: float, message: str) -> None:
 def test_criterion_1_golden_chain(bw_domain, bw_problem, pi0_plan, gt_plan):
     start = time.monotonic()
 
-    pairing, aqm = pair_actions(pi0_plan, gt_plan)
+    pairing = pair_actions(pi0_plan, gt_plan)
     assert pairing.per_action_scores == (
         Fraction(5, 4), Fraction(1), Fraction(1), Fraction(5, 4),
         Fraction(1, 5), Fraction(0), Fraction(1), Fraction(0),
     )
     assert sum(pairing.per_action_scores) == Fraction(57, 10)
 
-    assert aqm.label_names() == ("same_act", "same_act", "correct", "same_act",
-                                 "diff_act", "redundant", "same_act", "redundant")
-    np_aqm = non_positional_aqm(pi0_plan, gt_plan, aqm)
-    assert np_aqm.label_names() == ("same_act", "same_act", "correct", "same_act",
-                                    "diff_act", "same_act", "same_act", "same_act")
+    assert tuple(map(str, pairing.labels)) == ("same_act", "same_act", "correct", "same_act",
+                                               "diff_act", "redundant", "same_act", "redundant")
+    np_aqm = non_positional_aqm(pi0_plan, gt_plan, pairing.labels)
+    assert tuple(map(str, np_aqm)) == ("same_act", "same_act", "correct", "same_act",
+                                       "diff_act", "same_act", "same_act", "same_act")
 
     breakdown = plan_score(pi0_plan, gt_plan, pairing, lcs_analyze(pi0_plan, gt_plan),
                            is_valid(pi0_plan, bw_problem))
@@ -85,15 +85,15 @@ def test_criterion_1_golden_chain(bw_domain, bw_problem, pi0_plan, gt_plan):
 
     assert simulate(pi0_plan, bw_problem).lea == 0
 
-    steps0 = steps_to_validity(pi0_plan, aqm, pairing, gt_plan, bw_problem)
+    steps0 = steps_to_validity(pi0_plan, pairing, gt_plan, bw_problem)
     assert len(steps0) == 7
 
-    pi1, variant = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
+    variant = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
     assert variant.transformation.shift == 0
     assert dict(variant.transformation.mapping) == {"a": "b", "b": "a", "c": "c"}
 
-    pairing1, aqm1 = pair_actions(pi1, gt_plan)
-    steps1 = steps_to_validity(pi1, aqm1, pairing1, gt_plan, bw_problem)
+    steps1 = steps_to_validity(variant.plan, pair_actions(variant.plan, gt_plan), gt_plan,
+                               bw_problem)
     assert len(steps1) == 2
 
     record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
@@ -368,22 +368,25 @@ def test_criterion_6_pairing_properties(gt_plan):
     for case in range(1000):
         plan = random_plan(8)
         gt = random_plan(6) if case % 3 else gt_plan
-        pairing, aqm = pair_actions(plan, gt)
+        pairing = pair_actions(plan, gt)
 
-        candidate_indices = [p.candidate_index for p in pairing.pairs]
-        gt_indices = [p.gt_index for p in pairing.pairs]
-        assert len(candidate_indices) == len(set(candidate_indices))
+        # One entry per candidate action, so each candidate pairs at most once.
+        assert (len(pairing.labels) == len(pairing.per_action_scores)
+                == len(pairing.gt_indices) == len(plan))
+        gt_indices = [j for j in pairing.gt_indices if j is not None]
         assert len(gt_indices) == len(set(gt_indices))
+        assert all(1 <= j <= len(gt) for j in gt_indices)
 
-        assert len(aqm) == len(plan)
-        assert all(isinstance(label, QualityLabel) for label in aqm.labels)
-        assert len(pairing.pairs) + len(pairing.unpaired) == len(plan)
+        assert all(isinstance(label, QualityLabel) for label in pairing.labels)
+        # Exhaustive: every candidate is paired or redundant, never both.
+        assert all((j is None) == (label is QualityLabel.REDUNDANT)
+                   for label, j in zip(pairing.labels, pairing.gt_indices))
 
-        redundant = sum(1 for label in aqm.labels if label is QualityLabel.REDUNDANT)
+        redundant = sum(1 for label in pairing.labels if label is QualityLabel.REDUNDANT)
         if len(plan) > len(gt):
             assert redundant >= len(plan) - len(gt)
 
-        assert pair_actions(plan, gt) == (pairing, aqm)
+        assert pair_actions(plan, gt) == pairing
     _report(6, time.monotonic() - start,
             "one-to-one, exhaustive, bounded-redundant, deterministic on 1000 cases")
 
@@ -437,12 +440,12 @@ def test_criterion_8_transform_oracle(bw_domain, bw_problem, gt_plan, pi0_plan):
     alphabet = list(gt_plan.actions)  # 6 distinct actions over 3 objects
 
     def check(plan):
-        best_plan, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+        best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
         oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config)
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
-        assert best.valid == oracle.valid
-        assert best_plan.keys() == oracle.plan.keys()
+        assert best.breakdown.valid == oracle.breakdown.valid
+        assert best.plan.keys() == oracle.plan.keys()
 
     import itertools
     checked = 0
@@ -458,10 +461,10 @@ def test_criterion_8_transform_oracle(bw_domain, bw_problem, gt_plan, pi0_plan):
         checked += 1
 
     # pi1's penalized score never drops below pi0's raw score on the batch plan.
-    pairing, _ = pair_actions(pi0_plan, gt_plan)
+    pairing = pair_actions(pi0_plan, gt_plan)
     raw = plan_score(pi0_plan, gt_plan, pairing, lcs_analyze(pi0_plan, gt_plan),
                      is_valid(pi0_plan, bw_problem))
-    _, variant = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain, config)
+    variant = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain, config)
     assert variant.penalized >= raw.total
 
     _report(8, time.monotonic() - start,

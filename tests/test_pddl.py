@@ -98,13 +98,17 @@ def test_malformed_define_is_a_syntax_error(bw_domain, text):
 
 
 def test_undeclared_predicate_in_schema():
-    text = """
-    (define (domain bad) (:requirements :strips)
-      (:predicates (p ?x))
-      (:action a :parameters (?x) :precondition (q ?x) :effect (p ?x)))
-    """
-    with pytest.raises(UndeclaredSymbol):
-        parse_domain(text)
+    # The undeclared q in a precondition, an add effect and a delete effect.
+    for precondition, effect in [("(q ?x)", "(p ?x)"),
+                                 ("(p ?x)", "(and (p ?x) (q ?x))"),
+                                 ("(p ?x)", "(and (p ?x) (not (q ?x)))")]:
+        text = f"""
+        (define (domain bad) (:requirements :strips)
+          (:predicates (p ?x))
+          (:action a :parameters (?x) :precondition {precondition} :effect {effect}))
+        """
+        with pytest.raises(UndeclaredSymbol, match="undeclared predicate 'q'"):
+            parse_domain(text)
 
 
 def test_problem_instance_10(bw_problem):
@@ -180,8 +184,7 @@ def test_ground_action_folds_case_on_construction(bw_domain, bw_problem):
     assert action.key == ("pick-up", ("a",))
     assert str(action) == "(pick-up a)"
     assert action == parsed
-    _, aqm = pair_actions(Plan((action,)), Plan((parsed,)))
-    assert aqm.labels == (QualityLabel.CORRECT,)
+    assert pair_actions(Plan((action,)), Plan((parsed,))).labels == (QualityLabel.CORRECT,)
 
 
 def test_parse_plan_unknown_object_and_bad_arity(bw_domain, bw_problem):

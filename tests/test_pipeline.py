@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import planeval
 from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
 from planeval.cli import main as cli_main
 from planeval.config import _KEY_MAP
@@ -109,6 +110,16 @@ def test_invalid_gt_is_a_check_gt_error(bw_domain, bw_problem, gt_text):
     with pytest.raises(InstanceError) as excinfo:
         evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE, gt_plan_text=gt_text)
     assert excinfo.value.stage == "check-gt"
+
+
+def test_nan_planner_timeout_is_a_solve_gt_error(monkeypatch, bw_domain, bw_problem):
+    # A config built in code skips load_config's check; the planner rejects it.
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    with pytest.raises(InstanceError) as excinfo:
+        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                          config=PipelineConfig(planner_timeout=float("nan")))
+    assert excinfo.value.stage == "solve-gt"
+    assert isinstance(excinfo.value.cause, ConfigError)
 
 
 def test_each_plan_is_analysed_and_subplanned_once(monkeypatch, bw_domain, bw_problem):
@@ -739,6 +750,23 @@ def test_readme_config_example_loads(tmp_path):
         planner_timeout=10.0, external_planner="...")
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # The README's library example runs as written against the Blocksworld
+    # fixtures; a stale export or call shape fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```python\n(.*?)```", readme.split("## Library", 1)[1],
+                        re.S).group(1)
+    for name, fixture in [("domain.pddl", "domain.pddl"), ("p10.pddl", "instance-10.pddl"),
+                          ("candidate.plan", "instance-10-candidate.plan")]:
+        (tmp_path / name).write_text((FIXTURES / "blocksworld" / fixture).read_text())
+    (tmp_path / "syn.txt").write_text("pick-up lift 0.9\n")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["record"]["pi4"]["valid"] is True
+    assert [name for name in planeval.__all__ if not hasattr(planeval, name)] == []
+
+
 def test_config_hash_inside_value_is_kept(tmp_path):
     path = tmp_path / "planeval.cfg"
     path.write_text(
@@ -1021,6 +1049,32 @@ def test_aggregate_names_the_record_and_the_missing_field():
     with pytest.raises(PlanEvalError, match=re.escape(
             "record 2 has no field 'pi0.normalized_score'")):
         aggregate([{"error": {"stage": "load"}}, record])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("model", None, "record 2 field 'model' is null, not a string"),
+    ("pi0.stv", "x", """record 2 field 'pi0.stv' is "x", not a number or boolean"""),
+    ("pi0.stv", "3", """record 2 field 'pi0.stv' is "3", not a number or boolean"""),
+    ("pi0.valid", [1], "record 2 field 'pi0.valid' is [1], not a number or boolean"),
+], ids=["null-model", "string-stv", "numeric-string-stv", "list-valid"])
+def test_cli_report_wrong_typed_field_is_an_error_line(tmp_path, capsys, bw_domain,
+                                                       bw_problem, field, value, message):
+    record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                               gt_plan_text=INSTANCE_10_GT, model="m")
+    edited = json.loads(json.dumps(record))
+    *parents, key = field.split(".")
+    target = edited
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(record) + "\n" + json.dumps(edited) + "\n")
+    code = cli_main(["report", str(records), "--out", str(tmp_path / "report.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_cli_report_non_json_line_is_an_error_line(tmp_path, capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import functools
 import random
+import re
+import time
 import traceback
 import types
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from planeval import (is_valid, parse_domain, parse_problem, planner, replan_from, simulate,
                       solve_optimal)
-from planeval.errors import PlanningTimeout, PlanningUnsolvable
+from planeval.errors import ConfigError, PlanningTimeout, PlanningUnsolvable
 from planeval.pddl import ProblemModel, plan_to_text
 from planeval.planner import INF, _GroundTask, _search, goal_count_bound, ground_all_actions, hmax
 
@@ -97,7 +99,26 @@ def test_timeout_is_raised(bw_domain):
     blocks = [f"b{i}" for i in range(1, 8)]
     problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
     with pytest.raises(PlanningTimeout):
-        solve_optimal(problem, bw_domain, timeout=0.0)
+        solve_optimal(problem, bw_domain, timeout=1e-6)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("replan", [False, True], ids=["solve", "replan"])
+def test_timeout_that_is_not_finite_and_positive_is_rejected(bw_domain, timeout, replan):
+    # Seven blocks on the table and an unsolvable goal: without the check a
+    # NaN or infinite timeout searches for seconds to exhaustion.
+    blocks = [f"b{i}" for i in range(1, 8)]
+    table = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
+    problem = ProblemModel(table.name, table.domain_name, table.objects, table.init,
+                           frozenset({("on", "b1", "b1")}))
+    start = time.monotonic()
+    with pytest.raises(ConfigError, match=re.escape(f"got {timeout}")):
+        if replan:
+            replan_from(problem.init, problem, bw_domain, timeout=timeout)
+        else:
+            solve_optimal(problem, bw_domain, timeout=timeout)
+    assert time.monotonic() - start < 0.1
 
 
 def test_hmax_is_admissible(bw_domain):

@@ -12,8 +12,7 @@ from test_transform import PI1_TEXT
 
 
 def stv(plan, gt, problem):
-    pairing, aqm = pair_actions(plan, gt)
-    return steps_to_validity(plan, aqm, pairing, gt, problem)
+    return steps_to_validity(plan, pair_actions(plan, gt), gt, problem)
 
 
 def test_stv_pi0_is_seven(pi0_plan, gt_plan, bw_problem):
@@ -47,19 +46,19 @@ def test_stv_empty_plan_is_all_adds(gt_plan, bw_problem):
 
 
 def test_stv_step_kind_soundness(pi0_plan, gt_plan, bw_problem):
-    pairing, aqm = pair_actions(pi0_plan, gt_plan)
-    steps = steps_to_validity(pi0_plan, aqm, pairing, gt_plan, bw_problem)
+    pairing = pair_actions(pi0_plan, gt_plan)
+    steps = steps_to_validity(pi0_plan, pairing, gt_plan, bw_problem)
     fix_table = {StepKind.REORDER: QualityLabel.MISPLACED,
                  StepKind.REPAIR: QualityLabel.SAME_ACT,
                  StepKind.REPLACE: QualityLabel.DIFF_ACT}
     plan_keys = set(pi0_plan.keys())
     for step in steps:
         if step.kind is StepKind.REMOVE:
-            assert aqm.labels[step.index - 1] is QualityLabel.REDUNDANT
+            assert pairing.labels[step.index - 1] is QualityLabel.REDUNDANT
         elif step.kind is StepKind.ADD:
             assert step.gt_action.key not in plan_keys
         else:
-            assert aqm.labels[step.index - 1] is fix_table[step.kind]
+            assert pairing.labels[step.index - 1] is fix_table[step.kind]
 
 
 def test_stv_bounds_on_random_plans(bw_domain, bw_problem, gt_plan):

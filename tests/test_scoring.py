@@ -31,7 +31,7 @@ def audit(breakdown) -> bool:
 
 
 def breakdown_for(plan, gt, problem):
-    pairing, _ = pair_actions(plan, gt)
+    pairing = pair_actions(plan, gt)
     return plan_score(plan, gt, pairing, lcs_analyze(plan, gt), is_valid(plan, problem))
 
 
@@ -128,7 +128,7 @@ def test_normalize_running_example(pi0_plan, gt_plan, bw_problem):
 def test_normalize_caps_at_one(gt_plan, bw_problem):
     # Full composition of a perfect plan exceeds the per-action ceiling and
     # is capped: (1 + 1 + 0.5 + 2 + 1) / 4.5 > 1.
-    pairing, _ = pair_actions(gt_plan, gt_plan)
+    pairing = pair_actions(gt_plan, gt_plan)
     full = plan_score(gt_plan, gt_plan, pairing, lcs_analyze(gt_plan, gt_plan), False)
     assert full.total == Fraction(11, 2) * len(gt_plan)
     assert normalize_score(full, gt_plan, gt_plan) == 1
@@ -152,11 +152,11 @@ def test_normalize_empty_plan_uses_gt_length(gt_plan, bw_problem):
 def test_score_monotonicity_in_paired_actions(pi0_plan, gt_plan, bw_problem):
     # Rewriting a redundant action into a paired one never lowers the total
     # (lengths unchanged, so the penalty is fixed).
-    pairing, _ = pair_actions(pi0_plan, gt_plan)
+    pairing = pair_actions(pi0_plan, gt_plan)
     base_total = plan_score(pi0_plan, gt_plan, pairing,
                             lcs_analyze(pi0_plan, gt_plan), False).total
     improved = Plan(pi0_plan.actions[:5] + (gt_plan[4],) + pi0_plan.actions[6:])
-    pairing2, _ = pair_actions(improved, gt_plan)
+    pairing2 = pair_actions(improved, gt_plan)
     improved_total = plan_score(improved, gt_plan, pairing2,
                                 lcs_analyze(improved, gt_plan), False).total
     assert improved_total >= base_total

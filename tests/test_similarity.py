@@ -136,8 +136,8 @@ def test_action_similarity_floored_at_zero():
 
 
 def test_pairing_running_example(pi0_plan, gt_plan):
-    pairing, aqm = pair_actions(pi0_plan, gt_plan)
-    assert aqm.label_names() == (
+    pairing = pair_actions(pi0_plan, gt_plan)
+    assert tuple(map(str, pairing.labels)) == (
         "same_act", "same_act", "correct", "same_act",
         "diff_act", "redundant", "same_act", "redundant",
     )
@@ -146,72 +146,67 @@ def test_pairing_running_example(pi0_plan, gt_plan):
         Fraction(1, 5), Fraction(0), Fraction(1), Fraction(0),
     )
     assert sum(pairing.per_action_scores) == Fraction(57, 10)
-    # Positional pairing sends candidate 5 to ground-truth action 6.
-    assert [p.gt_index for p in pairing.pairs if p.candidate_index == 5] == [6]
-    assert pairing.unpaired == (6, 8)
+    # Positional pairing sends candidate 5 to ground-truth action 6; the
+    # redundant candidates 6 and 8 have no partner.
+    assert pairing.gt_indices == (1, 2, 3, 4, 6, None, 5, None)
 
 
 def test_pairing_identical_plans(gt_plan):
-    _, aqm = pair_actions(gt_plan, gt_plan)
-    assert set(aqm.labels) == {QualityLabel.CORRECT}
+    assert set(pair_actions(gt_plan, gt_plan).labels) == {QualityLabel.CORRECT}
 
 
 def test_pairing_reversed_plan_all_misplaced(gt_plan):
     reversed_plan = Plan(tuple(reversed(gt_plan.actions)))
-    _, aqm = pair_actions(reversed_plan, gt_plan)
-    assert set(aqm.labels) == {QualityLabel.MISPLACED}
+    assert set(pair_actions(reversed_plan, gt_plan).labels) == {QualityLabel.MISPLACED}
 
 
 def test_pairing_prefers_correct_over_equal_scoring_match(gt_plan):
     # A later identical action must win its slot over an earlier fuzzy match.
     candidate = Plan((act("unstack", "c", "a"), *gt_plan.actions[1:]))
-    pairing, aqm = pair_actions(candidate, gt_plan)
-    assert aqm.labels[5] is QualityLabel.CORRECT  # (stack a c) keeps its slot
-    assert [p.gt_index for p in pairing.pairs if p.candidate_index == 1] == [1]
+    pairing = pair_actions(candidate, gt_plan)
+    assert pairing.labels[5] is QualityLabel.CORRECT  # (stack a c) keeps its slot
+    assert pairing.gt_indices[0] == 1
 
 
 def test_pairing_duplicate_candidates_not_paired_twice(gt_plan):
     duplicated = Plan((gt_plan[0], gt_plan[0], gt_plan[0]))
-    pairing, aqm = pair_actions(duplicated, gt_plan)
-    assert aqm.labels[0] is QualityLabel.CORRECT
-    gt_indices = [p.gt_index for p in pairing.pairs]
+    pairing = pair_actions(duplicated, gt_plan)
+    assert pairing.labels[0] is QualityLabel.CORRECT
+    gt_indices = [j for j in pairing.gt_indices if j is not None]
     assert len(gt_indices) == len(set(gt_indices))
 
 
 def test_np_aqm_running_example(pi0_plan, gt_plan):
-    pairing, aqm = pair_actions(pi0_plan, gt_plan)
-    np_aqm = non_positional_aqm(pi0_plan, gt_plan, aqm)
-    assert np_aqm.label_names() == (
+    pairing = pair_actions(pi0_plan, gt_plan)
+    np_aqm = non_positional_aqm(pi0_plan, gt_plan, pairing.labels)
+    assert tuple(map(str, np_aqm)) == (
         "same_act", "same_act", "correct", "same_act",
         "diff_act", "same_act", "same_act", "same_act",
     )
 
 
 def test_np_aqm_all_correct_unchanged(gt_plan):
-    pairing, aqm = pair_actions(gt_plan, gt_plan)
-    assert non_positional_aqm(gt_plan, gt_plan, aqm).labels == aqm.labels
+    labels = pair_actions(gt_plan, gt_plan).labels
+    assert non_positional_aqm(gt_plan, gt_plan, labels) == labels
 
 
 def test_np_aqm_keeps_unrelated_hallucination_redundant(bw_domain, bw_problem, gt_plan):
     candidate = Plan((*gt_plan.actions, act("teleport", "x", "y")))
-    pairing, aqm = pair_actions(candidate, gt_plan)
-    assert aqm.labels[-1] is QualityLabel.REDUNDANT
-    np_aqm = non_positional_aqm(candidate, gt_plan, aqm)
-    assert np_aqm.labels[-1] is QualityLabel.REDUNDANT
+    labels = pair_actions(candidate, gt_plan).labels
+    assert labels[-1] is QualityLabel.REDUNDANT
+    np_aqm = non_positional_aqm(candidate, gt_plan, labels)
+    assert np_aqm[-1] is QualityLabel.REDUNDANT
 
 
 def test_aqm_score_running_example(pi0_plan, gt_plan):
-    _, aqm = pair_actions(pi0_plan, gt_plan)
-    assert aqm_score(aqm) == Fraction(13, 32)  # 0.40625
+    assert aqm_score(pair_actions(pi0_plan, gt_plan).labels) == Fraction(13, 32)  # 0.40625
 
 
 def test_aqm_score_extremes(gt_plan):
-    _, all_correct = pair_actions(gt_plan, gt_plan)
-    assert aqm_score(all_correct) == 1
-    _, all_redundant = pair_actions(
-        Plan((act("teleport", "x"), act("warp", "y"))), gt_plan)
-    assert aqm_score(all_redundant) == 0
-    assert aqm_score(pair_actions(Plan(), gt_plan)[1]) == 0
+    assert aqm_score(pair_actions(gt_plan, gt_plan).labels) == 1
+    all_redundant = pair_actions(Plan((act("teleport", "x"), act("warp", "y"))), gt_plan)
+    assert aqm_score(all_redundant.labels) == 0
+    assert aqm_score(pair_actions(Plan(), gt_plan).labels) == 0
 
 
 def test_pairing_is_deterministic(pi0_plan, gt_plan):

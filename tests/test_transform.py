@@ -113,7 +113,7 @@ def test_remap_retypes_cross_type_actions(logistics_domain, logistics_problems):
 
 def test_transformation_penalty_defaults(bw_domain, bw_problem, gt_plan, pi0_plan):
     def winner(plan, gt):
-        return find_best_variant(plan, gt, bw_problem, bw_domain)[1]
+        return find_best_variant(plan, gt, bw_problem, bw_domain)
 
     identity = winner(gt_plan, gt_plan)  # valid
     assert identity.transformation.shift == 0 and identity.penalty == 0
@@ -125,7 +125,7 @@ def test_transformation_penalty_defaults(bw_domain, bw_problem, gt_plan, pi0_pla
     assert shifted.transformation == Transformation(6, (("a", "a"), ("b", "b"), ("c", "c")))
     assert shifted.penalty == 2  # min(6, 8 - 6)
     shuffled = winner(circular_shift(gt_plan, 2), gt_plan)  # 6 actions, valid
-    assert shuffled.valid and shuffled.transformation.shift == 4
+    assert shuffled.breakdown.valid and shuffled.transformation.shift == 4
     assert shuffled.penalty == 2  # min(4, 6 - 4)
 
 
@@ -135,40 +135,40 @@ def test_transformation_penalty_defaults(bw_domain, bw_problem, gt_plan, pi0_pla
 
 
 def test_find_best_variant_running_example(pi0_plan, gt_plan, bw_problem, bw_domain):
-    pi1, score = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
+    score = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
     assert score.transformation.shift == 0
     changed = {src: dst for src, dst in score.transformation.mapping if src != dst}
     assert changed == {"a": "b", "b": "a"}
-    assert pi1[0].key == ("unstack", ("b", "c"))
+    assert score.plan[0].key == ("unstack", ("b", "c"))
     assert score.penalized > Fraction(278, 15)  # strictly beats the raw plan
-    assert not score.valid
+    assert not score.breakdown.valid
 
 
 def test_find_best_variant_defaults_to_the_config_provider(bw_domain, bw_problem, gt_plan):
     config = PipelineConfig(similarity=CharLcsSimilarity())
     plan = parse_plan("(pick-up a)\n(lift b)\n(stack b c)\n(unstack a a)\n",
                       bw_domain, bw_problem)
-    _, fuzzy = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
-    _, exact = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
+    fuzzy = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+    exact = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
     assert fuzzy.penalized == Fraction(59, 6)
     assert exact.penalized != fuzzy.penalized
 
 
 def test_identity_wins_for_perfect_plan(gt_plan, bw_problem, bw_domain):
-    pi1, score = find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain)
+    score = find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain)
     assert score.transformation.shift == 0
     assert total_changes(score.transformation, len(gt_plan)) == 0
-    assert pi1.keys() == gt_plan.keys()
-    assert score.valid
+    assert score.plan.keys() == gt_plan.keys()
+    assert score.breakdown.valid
     assert score.penalty == 0
 
 
 def test_variant_never_scores_below_input(pi0_plan, gt_plan, bw_problem, bw_domain):
     from planeval import lcs_analyze, pair_actions, plan_score
-    pairing, _ = pair_actions(pi0_plan, gt_plan)
+    pairing = pair_actions(pi0_plan, gt_plan)
     raw = plan_score(pi0_plan, gt_plan, pairing, lcs_analyze(pi0_plan, gt_plan),
                      is_valid(pi0_plan, bw_problem))
-    _, score = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
+    score = find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
     assert score.penalized >= raw.total
 
 
@@ -183,11 +183,11 @@ def test_search_matches_exhaustive_oracle_small(bw_domain, bw_problem, gt_plan):
             name, arity = rng.choice(names)
             actions.append(act(name, *(rng.choice(objects) for _ in range(arity))))
         plan = Plan(tuple(actions))
-        best_plan, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+        best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
         oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config)
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
-        assert best_plan.keys() == oracle.plan.keys()
+        assert best.plan.keys() == oracle.plan.keys()
 
 
 PROVIDERS = {"exact": exact_name_similarity, "char_lcs": CharLcsSimilarity(),
@@ -226,12 +226,12 @@ def test_search_matches_oracle_under_every_provider_and_cost(
     config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map),
                             similarity=PROVIDERS[provider_name])
     for plan in _random_plans(gt_plan, bw_domain, bw_problem, random.Random(5)):
-        best_plan, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+        best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
         oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config)
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
-        assert best.valid == oracle.valid
-        assert best_plan.keys() == oracle.plan.keys()
+        assert best.breakdown.valid == oracle.breakdown.valid
+        assert best.plan.keys() == oracle.plan.keys()
 
 
 def _skip_cases(bw_domain, bw_problem, gt_plan, logistics_domain, log_problem, rng):
@@ -322,12 +322,12 @@ def _assert_budget_winner_is_exact(plan, gt, problem, domain, nodes, budget):
     visited, _ = _visited_under_budget(nodes, plan, budget)
     with pytest.raises(SearchBudgetExceeded) as excinfo:
         find_best_variant(plan, gt, problem, domain, config)
-    best_plan, best = excinfo.value.best
+    best = excinfo.value.best
     oracle = rank_variants_oracle(plan, gt, problem, domain, config, only=visited)
     assert best.transformation == oracle.transformation
     assert best.penalized == oracle.penalized
-    assert best.valid == oracle.valid
-    assert best_plan.keys() == oracle.plan.keys()
+    assert best.breakdown.valid == oracle.breakdown.valid
+    assert best.plan.keys() == oracle.plan.keys()
 
 
 @pytest.mark.parametrize("c_shift, c_map", [(1, 1), (0, 0), (Fraction(1, 2), 2)],
@@ -344,12 +344,12 @@ def test_skipped_mappings_match_oracle(monkeypatch, bw_domain, bw_problem, gt_pl
     mappings = 0
     for plan, gt, problem, domain in cases:
         mappings += math.factorial(len(plan.objects()))
-        best_plan, best = find_best_variant(plan, gt, problem, domain, config)
+        best = find_best_variant(plan, gt, problem, domain, config)
         oracle = rank_variants_oracle(plan, gt, problem, domain, config)
         assert best.transformation == oracle.transformation
         assert best.penalized == oracle.penalized
-        assert best.valid == oracle.valid
-        assert best_plan.keys() == oracle.plan.keys()
+        assert best.breakdown.valid == oracle.breakdown.valid
+        assert best.plan.keys() == oracle.plan.keys()
     # The oracle remaps each of its mappings once; the search skips some.
     assert remaps[0] - mappings < mappings
 
@@ -407,9 +407,9 @@ def test_valid_variant_at_shift_zero_beats_an_earlier_shifted_one(c_shift, c_map
                       domain, problem)
     plan = circular_shift(tour, 2)
     config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map))
-    _, best = find_best_variant(plan, tour, problem, domain, config)
+    best = find_best_variant(plan, tour, problem, domain, config)
     oracle = rank_variants_oracle(plan, tour, problem, domain, config)
-    assert best.valid
+    assert best.breakdown.valid
     assert best.transformation == oracle.transformation
     assert best.transformation == Transformation(
         0, (("l1", "l3"), ("l2", "l2"), ("l3", "l1"), ("l4", "l4")))
@@ -429,12 +429,12 @@ def test_hallucinated_six_object_plan_remaps_few_mappings(monkeypatch, bw_domain
     plan = _hallucinated(gt, bw_domain, bw_problem)
     assert len(plan.objects()) == 6
     remaps = _count_remaps(monkeypatch)
-    best_plan, best = find_best_variant(plan, gt, bw_problem, bw_domain)
+    best = find_best_variant(plan, gt, bw_problem, bw_domain)
     assert remaps[0] <= 10  # of 720 mappings
     oracle = rank_variants_oracle(plan, gt, bw_problem, bw_domain, PipelineConfig())
     assert best.transformation == oracle.transformation
     assert best.penalized == oracle.penalized
-    assert best_plan.keys() == oracle.plan.keys()
+    assert best.plan.keys() == oracle.plan.keys()
 
 
 def test_search_leaves_no_cyclic_garbage(bw_domain, bw_problem, logistics_domain,
@@ -491,7 +491,7 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
                 score = score_variant(variant, transformation,
                                       penalty_oracle(transformation, len(plan), config),
                                       gt_plan, bw_problem, sim)
-                if not score.valid:
+                if not score.breakdown.valid:
                     assert bound - score.penalty >= score.penalized
                     checked += 1
     assert checked > 2000
@@ -532,15 +532,15 @@ def test_budget_winner_is_exact_over_enumerated_prefix(monkeypatch, pi0_plan, gt
     # fifth of them valid (node 7), and three skipped partial mappings.
     plan = pi0_plan if which == "pi0" else circular_shift(gt_plan, 2)
     nodes = _recorded_nodes(monkeypatch)
-    _, unbounded = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
+    unbounded = find_best_variant(plan, gt_plan, bw_problem, bw_domain)
     nodes = list(nodes)
     _, total = _visited_under_budget(nodes, plan, math.inf)
     assert total == (54 if which == "pi0" else 12)
     if budget < total:
         _assert_budget_winner_is_exact(plan, gt_plan, bw_problem, bw_domain, nodes, budget)
     else:
-        _, best = find_best_variant(plan, gt_plan, bw_problem, bw_domain,
-                                    PipelineConfig(budget=budget))
+        best = find_best_variant(plan, gt_plan, bw_problem, bw_domain,
+                                 PipelineConfig(budget=budget))
         assert best == unbounded
 
 
@@ -554,9 +554,9 @@ def test_later_valid_variant_with_a_smaller_key_wins(bw_domain, c_shift, c_map):
     plan = parse_plan("(pick-up a)\n(stack a b)\n(pick-up c)\n", bw_domain, problem)
     gt = parse_plan("(pick-up a)\n", bw_domain, problem)
     config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map))
-    _, best = find_best_variant(plan, gt, problem, bw_domain, config)
+    best = find_best_variant(plan, gt, problem, bw_domain, config)
     oracle = rank_variants_oracle(plan, gt, problem, bw_domain, config)
-    assert best.valid
+    assert best.breakdown.valid
     assert best.transformation == oracle.transformation
     assert dict(best.transformation.mapping) == {"a": "c", "b": "b", "c": "a"}
 
@@ -570,7 +570,7 @@ def test_variant_at_its_ceiling_that_wins_the_tie_break_is_scored(
     gt = Plan((act("p", "x"), act("q", "x"), act("p", "y"), act("q", "y")))
     plan = circular_shift(gt, 2)
     config = PipelineConfig(c_shift=Fraction(c_shift), c_map=Fraction(c_map))
-    _, best = find_best_variant(plan, gt, bw_problem, bw_domain, config)
+    best = find_best_variant(plan, gt, bw_problem, bw_domain, config)
     oracle = rank_variants_oracle(plan, gt, bw_problem, bw_domain, config)
     assert best.transformation == oracle.transformation
     assert best.transformation == Transformation(0, (("x", "y"), ("y", "x")))
@@ -590,17 +590,17 @@ def test_search_budget_exceeded_carries_best(pi0_plan, gt_plan, bw_problem, bw_d
     config = PipelineConfig(budget=budget)
     with pytest.raises(SearchBudgetExceeded) as excinfo:
         find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain, config)
-    best_plan, best_score = excinfo.value.best
-    assert len(best_plan) == len(pi0_plan)
+    best_score = excinfo.value.best
+    assert len(best_score.plan) == len(pi0_plan)
     assert best_score.penalized is not None
     if budget == 0:  # only the identity, enumerated first, was scored
         assert best_score.transformation.shift == 0
         assert all(src == dst for src, dst in best_score.transformation.mapping)
-        assert best_plan.keys() == pi0_plan.keys()
+        assert best_score.plan.keys() == pi0_plan.keys()
 
 
 def test_search_is_deterministic(pi0_plan, gt_plan, bw_problem, bw_domain):
-    outcomes = [find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)[1]
+    outcomes = [find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
                 for _ in range(3)]
     assert all(o.transformation == outcomes[0].transformation for o in outcomes)
     assert all(o.penalized == outcomes[0].penalized for o in outcomes)
@@ -613,11 +613,11 @@ def test_seven_object_search_finds_object_swap(logistics_domain, logistics_probl
     assert len(problem.objects) == 7
     swapped = remap_params(gt, {"p1": "p2", "p2": "p1"}, logistics_domain, problem)
     assert not is_valid(swapped, problem)
-    pi1, score = find_best_variant(swapped, gt, problem, logistics_domain)
+    score = find_best_variant(swapped, gt, problem, logistics_domain)
     changed = {src: dst for src, dst in score.transformation.mapping if src != dst}
     assert changed == {"p1": "p2", "p2": "p1"}
-    assert score.valid
-    assert pi1.keys() == gt.keys()
+    assert score.breakdown.valid
+    assert score.plan.keys() == gt.keys()
 
 
 LOG_03_CANDIDATE = """(load-airplane p1 t2 ap1)
@@ -640,12 +640,12 @@ def test_ten_object_search_finds_the_valid_winner(logistics_domain, logistics_pr
     gt = solve_optimal(problem, logistics_domain)
     plan = parse_plan(LOG_03_CANDIDATE, logistics_domain, problem)
     assert len(plan.objects()) == 10
-    pi1, score = find_best_variant(plan, gt, problem, logistics_domain)
-    assert score.valid and score.penalized == 3
+    score = find_best_variant(plan, gt, problem, logistics_domain)
+    assert score.breakdown.valid and score.penalized == 3
     assert score.transformation.shift == 3
     changed = {src: dst for src, dst in score.transformation.mapping if src != dst}
     assert changed == {"a1": "t1", "t1": "t2", "t2": "a1"}
-    assert is_valid(pi1, problem)
+    assert is_valid(score.plan, problem)
 
 
 def test_seven_object_perturbed_plan_matches_oracle(logistics_domain, logistics_problems):
@@ -662,12 +662,12 @@ def test_seven_object_perturbed_plan_matches_oracle(logistics_domain, logistics_
                       "(unload-truck c1 t1 p2)\n", logistics_domain, problem)
     assert len(plan.objects()) == 7
     config = PipelineConfig()
-    best_plan, best = find_best_variant(plan, gt, problem, logistics_domain, config)
+    best = find_best_variant(plan, gt, problem, logistics_domain, config)
     oracle = rank_variants_oracle(plan, gt, problem, logistics_domain, config)
     assert best.transformation == oracle.transformation
     assert best.penalized == oracle.penalized == Fraction(121, 6)
-    assert best.valid == oracle.valid
-    assert best_plan.keys() == oracle.plan.keys()
+    assert best.breakdown.valid == oracle.breakdown.valid
+    assert best.plan.keys() == oracle.plan.keys()
 
 
 @pytest.mark.parametrize("positions, budget", [
@@ -688,9 +688,9 @@ def test_hallucinated_log_03_plan_stays_within_budget(logistics_domain, logistic
         lines.insert(position, f"(teleport x{index} y{index})")
     plan = parse_plan("\n".join(lines) + "\n", logistics_domain, problem)
     assert len(plan.objects()) == 10 + 2 * len(positions)
-    _, best = find_best_variant(plan, gt, problem, logistics_domain,
-                                PipelineConfig(budget=budget))
-    assert not best.valid
+    best = find_best_variant(plan, gt, problem, logistics_domain,
+                             PipelineConfig(budget=budget))
+    assert not best.breakdown.valid
 
 
 def test_validity_first_ranking(bw_domain, bw_problem, gt_plan):
@@ -698,5 +698,5 @@ def test_validity_first_ranking(bw_domain, bw_problem, gt_plan):
     # the winner must be valid even though the identity scores well too.
     shuffled = circular_shift(gt_plan, 2)
     assert not is_valid(shuffled, bw_problem)
-    _, score = find_best_variant(shuffled, gt_plan, bw_problem, bw_domain)
-    assert score.valid
+    score = find_best_variant(shuffled, gt_plan, bw_problem, bw_domain)
+    assert score.breakdown.valid

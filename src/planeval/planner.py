@@ -5,8 +5,10 @@ plans with the fewest actions, the one whose first action comes first in
 ``ground_all_actions`` order, then its second, and so on.  A* finds the
 optimal length with the admissible bound max(h_max, goal count / k), and a
 depth-first pass in action order returns that plan, so neither the heuristic
-nor A*'s tie-breaking picks among the optimal plans.  The rule does not
-apply to ``external_cmd``: its plan is whatever that planner returns.
+nor A*'s tie-breaking picks among the optimal plans.  A* computes h_max when
+it pops a state, not when it generates it (lazy A*, Tolpin et al. 2013),
+and the depth-first pass tests the goal count before h_max.  The rule does
+not apply to ``external_cmd``: its plan is whatever that planner returns.
 
 States are encoded as atom bitmasks for fast duplicate detection; the
 public API speaks in :class:`~planeval.pddl.Plan` and atom sets.  h_max is
@@ -154,14 +156,20 @@ def _search(task: _GroundTask, start: int, timeout: float,
     """The least optimal plan from *start*, actions compared by index.
 
     A* with ``max(heuristic, goal_count_bound)`` finds the optimal length L.
-    A depth-first pass then tries actions in ``task.encoded`` order and
-    returns the first plan of length L it meets.  It enters a child at depth
-    d only if A* knows no shorter path to it, it has not already failed, and
-    d + h(child) <= L.  With a consistent h, A* has expanded every state of
-    f < L, so it knows a shorter path to any child that has one: each state
-    entered is at its true distance, and a state that failed once is on no
-    optimal plan.  The skips drop only such states, so the plan returned is
-    the same for every consistent *heuristic*.
+    It computes h lazily: a child is queued under g + max(h(parent) - 1,
+    goal count), which a consistent h makes a lower bound on its f, and gets
+    its own h only when popped.  A popped state with h = INF is dropped, one
+    whose f is above its key is queued again under that f, and any other is
+    expanded.  A depth-first pass then tries actions in ``task.encoded``
+    order and returns the first plan of length L it meets.  It enters a
+    child at depth d only if A* knows no shorter path to it, it has not
+    already failed, and d + h(child) <= L, tested with the goal count first
+    since h is at least the goal count.  With a consistent h, A* has
+    expanded every state of f < L, so it knows a shorter path to any child
+    that has one: each state entered is at its true distance, and a state
+    that failed once is on no optimal plan.  The skips drop only such
+    states, so the plan returned is the same for every consistent
+    *heuristic*.
     """
     deadline = time.monotonic() + timeout
     goal = task.goal_mask
@@ -188,13 +196,21 @@ def _search(task: _GroundTask, start: int, timeout: float,
         pops += 1
         if pops % 128 == 0 and time.monotonic() > deadline:
             raise PlanningTimeout(f"search exceeded {timeout} s")
-        _, _, _, state = heapq.heappop(heap)
+        key, _, _, state = heapq.heappop(heap)
         if state in closed:
+            continue
+        h_state = h(state)
+        if h_state == INF:
+            closed.add(state)
+            continue
+        g = g_value[state]
+        if g + h_state > key:
+            heapq.heappush(heap, (g + h_state, unsat(state), next(counter), state))
             continue
         closed.add(state)
         if goal & ~state == 0:
             break
-        g_succ = g_value[state] + 1
+        g_succ = g + 1
         for _, pre, add, dele in task.encoded:
             if state & pre != pre:
                 continue
@@ -202,11 +218,9 @@ def _search(task: _GroundTask, start: int, timeout: float,
             if succ in closed:
                 continue
             if g_succ < g_value.get(succ, 1 << 62):
-                h_succ = h(succ)
-                if h_succ == INF:
-                    continue
                 g_value[succ] = g_succ
-                heapq.heappush(heap, (g_succ + h_succ, unsat(succ), next(counter), succ))
+                bound = max(h_state - 1, goal_count_bound(task, succ))
+                heapq.heappush(heap, (g_succ + bound, unsat(succ), next(counter), succ))
     else:
         raise PlanningUnsolvable("search space exhausted without reaching the goal")
     length = g_value[state]
@@ -227,6 +241,7 @@ def _search(task: _GroundTask, start: int, timeout: float,
                 continue
             succ = (state & ~dele) | add
             if (g_value.get(succ, depth) < depth or succ in failed
+                    or depth + goal_count_bound(task, succ) > length
                     or depth + h(succ) > length):
                 continue
             steps.append(task.actions[action_i])
@@ -236,9 +251,14 @@ def _search(task: _GroundTask, start: int, timeout: float,
             failed.add(succ)
         return False
 
-    if not complete(start, 0):
-        raise PlanningUnsolvable(f"no plan of the optimal length {length}: "
-                                 "the heuristic is not consistent")
+    try:
+        if not complete(start, 0):
+            raise PlanningUnsolvable(f"no plan of the optimal length {length}: "
+                                     "the heuristic is not consistent")
+    finally:
+        # complete refers to itself through its cell; emptying the cell
+        # frees the task without the cyclic collector.
+        del complete
     return steps
 
 

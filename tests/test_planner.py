@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import random
 import re
 import time
@@ -296,11 +297,9 @@ def test_goal_count_bound_divides_by_the_most_goal_atoms_one_action_adds(bw_doma
     assert goal_count_bound(task, task.init_mask) == 1
 
 
-def test_seven_block_tower_stays_within_its_heuristic_call_ceiling(bw_domain):
-    # Both passes together evaluate the heuristic 9,875 times on this
-    # tower; the ceiling leaves about 11 % headroom.  Without the goal-count
-    # bound and the per-search h cache the count is about twice as high.
-    blocks = [f"b{i}" for i in range(1, 8)]
+def tower_heuristic_calls(bw_domain, n: int, optimum: int) -> int:
+    """Heuristic calls to stack *n* blocks from the table into one tower."""
+    blocks = [f"b{i}" for i in range(1, n + 1)]
     problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
     calls = 0
 
@@ -309,8 +308,23 @@ def test_seven_block_tower_stays_within_its_heuristic_call_ceiling(bw_domain):
         calls += 1
         return hmax(task, state)
 
-    assert len(solve_optimal(problem, bw_domain, heuristic=counting)) == 12
-    assert calls <= 11_000
+    assert len(solve_optimal(problem, bw_domain, heuristic=counting)) == optimum
+    return calls
+
+
+def test_seven_block_tower_stays_within_its_heuristic_call_ceiling(bw_domain):
+    # Both passes together evaluate the heuristic 4,526 times on this
+    # tower; the ceiling leaves about 10 % headroom.  Evaluating h_max for
+    # every generated state rather than every popped one took 9,875 calls,
+    # and without the goal-count bound and the per-search h cache the count
+    # is about twice that again.
+    assert tower_heuristic_calls(bw_domain, 7, 12) <= 5_000
+
+
+def test_eight_block_tower_stays_within_its_heuristic_call_ceiling(bw_domain):
+    # 31,124 calls; evaluating h_max for every generated state took 74,901,
+    # and the search once ran past the default timeout on this tower.
+    assert tower_heuristic_calls(bw_domain, 8, 14) <= 35_000
 
 
 def test_inconsistent_heuristic_is_reported(bw_domain, bw_problem):
@@ -333,6 +347,37 @@ def test_depth_first_pass_honours_the_timeout(bw_domain, monkeypatch):
     problem = make_bw_problem(bw_domain, [["a", "b"], ["c", "d"]], [["b", "a"], ["d", "c"]])
     with pytest.raises(PlanningTimeout):
         solve_optimal(problem, bw_domain, timeout=1.0)
+
+
+def test_search_leaves_no_cycle_for_the_collector(bw_domain, monkeypatch):
+    # With the cyclic collector off, a task that is still alive after its
+    # solve has returned is held by a reference cycle.
+    def tasks() -> list:
+        return [o for o in gc.get_objects() if isinstance(o, _GroundTask)]
+
+    blocks = [f"b{i}" for i in range(1, 6)]
+    problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
+    gc.collect()
+    before = tasks()
+    gc.disable()
+    try:
+        assert len(solve_optimal(problem, bw_domain)) == 8
+        # Again, with a clock that has run out only inside the depth-first pass.
+        def monotonic():
+            inside = any(frame.name == "complete" for frame in traceback.extract_stack())
+            return INF if inside else 0.0
+
+        monkeypatch.setattr(planner, "time", types.SimpleNamespace(monotonic=monotonic))
+        try:
+            solve_optimal(problem, bw_domain)
+        except PlanningTimeout:
+            pass
+        else:
+            pytest.fail("the depth-first pass did not time out")
+        leaked = [task for task in tasks() if not any(task is old for old in before)]
+    finally:
+        gc.enable()
+    assert leaked == []
 
 
 def random_towers(rng: random.Random, blocks: list[str]) -> list[list[str]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import InstanceError, PlanEvalError, read_text
-from .pddl import parse_domain, parse_plan, parse_problem, plan_to_text
+from .pddl import format_atom, parse_domain, parse_plan, parse_problem, plan_to_text
 from .pipeline import (
     _plan_metrics,
     evaluate_batch,
@@ -53,13 +53,13 @@ def _cmd_validate(args) -> int:
     plan = parse_plan(_read("--plan", args.plan), domain, problem)
     result = simulate(plan, problem)
     payload = _plan_metrics(plan, result)
-    if result.failure_reason is not None:
-        reason = result.failure_reason
+    if not result.executable:
+        failed = plan[result.lea]
         payload["failure"] = {
-            "index": reason.index,
-            "action": reason.action,
-            "unresolvable": reason.unresolvable,
-            "unmet": ["(%s)" % " ".join(a) for a in reason.unmet],
+            "index": result.lea + 1,
+            "action": str(failed),
+            "unresolvable": not failed.resolvable,
+            "unmet": [format_atom(a) for a in sorted(failed.preconditions - result.final_state)],
         }
     if args.trace_out:
         Path(args.trace_out).write_text(format_trace(result), encoding="utf-8")

@@ -157,7 +157,6 @@ class GroundAction:
     add_effects: frozenset[Atom] = frozenset()
     del_effects: frozenset[Atom] = frozenset()
     resolvable: bool = True
-    issue: str | None = None
     key: tuple[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -512,7 +511,9 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
             for obj, type_name in _typed_names(rest, ":objects"):
                 if type_name not in domain.types:
                     raise UndeclaredSymbol("type", type_name)
-                objects[obj] = type_name
+                if objects.setdefault(obj, type_name) != type_name:
+                    raise PddlSyntaxError(f"object '{obj}' declared as both "
+                                          f"'{objects[obj]}' and '{type_name}'")
         elif keyword == ":init":
             for atom_form in rest:
                 init.add(_parse_atom_over(atom_form, set(objects), declared, ":init"))
@@ -557,29 +558,14 @@ def substitute(atoms: frozenset[Atom], binding: Mapping[str, str]) -> frozenset[
     )
 
 
-def ground(schema: ActionSchema, args: Sequence[str],
-           domain: DomainModel | None = None,
-           problem: ProblemModel | None = None) -> GroundAction:
-    """Ground *schema* with *args* by pure substitution.
-
-    When *domain* and *problem* are supplied the argument types are checked
-    against the schema's parameter types.
-    """
+def ground(schema: ActionSchema, args: Sequence[str]) -> GroundAction:
+    """Ground *schema* with *args* by pure substitution, checking only the
+    arity; :func:`resolve_action` also checks the objects and their types."""
     args = tuple(a.lower() for a in args)
     if len(args) != len(schema.params):
         raise ArityMismatch(
             f"action '{schema.name}' takes {len(schema.params)} arguments, got {len(args)}"
         )
-    if domain is not None and problem is not None:
-        for arg, param in zip(args, schema.params):
-            obj_type = problem.objects.get(arg)
-            if obj_type is None:
-                raise UndeclaredSymbol("object", arg)
-            if not domain.is_subtype(obj_type, param.type):
-                raise TypeMismatch(
-                    f"object '{arg}' of type '{obj_type}' bound to parameter "
-                    f"'{param.name} - {param.type}' of action '{schema.name}'"
-                )
     binding = {p.name: a for p, a in zip(schema.params, args)}
     return GroundAction(
         name=schema.name,
@@ -594,17 +580,19 @@ def resolve_action(name: str, args: Sequence[str], domain: DomainModel,
                    problem: ProblemModel) -> GroundAction:
     """Resolve a raw action occurrence, flagging it instead of failing.
 
-    Hallucinated names, unknown objects, wrong arity and type clashes all
-    yield an unresolvable :class:`GroundAction` so the action can still take
-    part in similarity scoring.
+    It resolves iff its name is a schema of *domain* with as many parameters
+    as *args*, and each argument is an object of *problem* whose type the
+    parameter admits.  Anything else yields an unresolvable
+    :class:`GroundAction`, which can still take part in similarity scoring.
     """
     schema = domain.schema(name)
-    if schema is None:
-        return GroundAction(name, args, resolvable=False, issue="unknown action name")
-    try:
-        return ground(schema, args, domain=domain, problem=problem)
-    except (ArityMismatch, TypeMismatch, UndeclaredSymbol) as exc:
-        return GroundAction(name, args, resolvable=False, issue=str(exc))
+    args = tuple(a.lower() for a in args)
+    if (schema is not None and len(args) == len(schema.params)
+            and all(arg in problem.objects
+                    and domain.is_subtype(problem.objects[arg], param.type)
+                    for arg, param in zip(args, schema.params))):
+        return ground(schema, args)
+    return GroundAction(name, args, resolvable=False)
 
 
 # ---------------------------------------------------------------------------

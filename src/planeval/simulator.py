@@ -10,18 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pddl import Atom, Plan, ProblemModel, State, format_atom
-
-
-@dataclass(frozen=True)
-class FailureReason:
-    """Why simulation stopped: 1-based index of the failing action plus either
-    its unmet preconditions or the unresolvable flag."""
-
-    index: int
-    action: str
-    unmet: tuple[Atom, ...] = ()
-    unresolvable: bool = False
+from .pddl import Plan, ProblemModel, State, format_atom
 
 
 @dataclass(frozen=True)
@@ -29,7 +18,6 @@ class SimulationResult:
     trace: tuple[State, ...]
     lea: int
     executable: bool
-    failure_reason: FailureReason | None = None
     valid: bool = False  # executable and the final state satisfies the goal
 
     @property
@@ -41,18 +29,14 @@ def simulate(plan: Plan, problem: ProblemModel) -> SimulationResult:
     """Execute the longest executable prefix of *plan* from the initial state.
 
     Failure is data, not an error: the result carries the trace of the
-    executed prefix and the reason execution stopped, if it did.
+    executed prefix; when execution stopped, ``plan[lea]`` is the action that
+    is unresolvable or has preconditions unmet in ``final_state``.
     """
     state = problem.init
     trace = [state]
-    for index, action in enumerate(plan, start=1):
-        if not action.resolvable:
-            reason = FailureReason(index, str(action), unresolvable=True)
-            return SimulationResult(tuple(trace), index - 1, False, reason)
-        unmet = action.preconditions - state
-        if unmet:
-            reason = FailureReason(index, str(action), tuple(sorted(unmet)))
-            return SimulationResult(tuple(trace), index - 1, False, reason)
+    for action in plan:
+        if not (action.resolvable and action.preconditions <= state):
+            return SimulationResult(tuple(trace), len(trace) - 1, False)
         state = (state - action.del_effects) | action.add_effects
         trace.append(state)
     return SimulationResult(tuple(trace), len(plan), True, valid=problem.goal <= state)

@@ -15,7 +15,8 @@ from planeval.errors import (
     UndeclaredSymbol,
     UnsupportedFeature,
 )
-from planeval.pddl import GroundAction, Plan, domain_to_pddl, plan_to_text, problem_to_pddl
+from planeval.pddl import (GroundAction, Plan, domain_to_pddl, plan_to_text, problem_to_pddl,
+                           resolve_action)
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE
 
@@ -150,6 +151,23 @@ def test_problem_type_mismatch(logistics_domain):
         parse_problem(text, logistics_domain)
 
 
+def test_problem_object_declared_with_two_types(logistics_domain):
+    template = """
+    (define (problem twice) (:domain logistics)
+      (:objects t1 - truck p1 - package l1 l2 - location c1 - city t1 - {type})
+      (:init (in-city l1 c1) (in-city l2 c1) (at t1 l1) (at p1 l1))
+      (:goal (at p1 l2)))
+    """
+    with pytest.raises(PddlSyntaxError,
+                       match="object 't1' declared as both 'truck' and 'package'"):
+        parse_problem(template.format(type="package"), logistics_domain)
+    # Repeating a declaration with the same type is harmless.
+    problem = parse_problem(template.format(type="truck"), logistics_domain)
+    assert problem.objects["t1"] == "truck"
+    plan = parse_plan("(drive-truck t1 l1 l2 c1)\n", logistics_domain, problem)
+    assert plan[0].resolvable
+
+
 def test_parse_plan_running_example(bw_domain, bw_problem, pi0_plan):
     assert len(pi0_plan) == 8
     assert pi0_plan[0].key == ("unstack", ("a", "c"))
@@ -188,9 +206,11 @@ def test_ground_action_folds_case_on_construction(bw_domain, bw_problem):
 
 
 def test_parse_plan_unknown_object_and_bad_arity(bw_domain, bw_problem):
-    plan = parse_plan("(pick-up d)\n(stack a)\n", bw_domain, bw_problem)
+    plan = parse_plan("(pick-up d)\n(stack a)\n(stack b b c)\n", bw_domain, bw_problem)
     assert not plan[0].resolvable
     assert not plan[1].resolvable
+    assert not plan[2].resolvable
+    assert plan[2].key == ("stack", ("b", "b", "c"))
 
 
 def test_parse_plan_malformed_line(bw_domain, bw_problem):
@@ -216,11 +236,16 @@ def test_ground_arity_mismatch(bw_domain):
         ground(bw_domain.schema("stack"), ["a"])
 
 
-def test_ground_type_mismatch(logistics_domain, logistics_problems):
+def test_resolve_action_type_mismatch(logistics_domain, logistics_problems):
     problem = logistics_problems["log-01"]
-    schema = logistics_domain.schema("drive-truck")
-    with pytest.raises(TypeMismatch):
-        ground(schema, ["p1", "l1", "l2", "c1"], domain=logistics_domain, problem=problem)
+    clash = resolve_action("drive-truck", ["p1", "l1", "l2", "c1"], logistics_domain, problem)
+    assert not clash.resolvable
+    assert clash.key == ("drive-truck", ("p1", "l1", "l2", "c1"))
+    assert clash.preconditions == clash.add_effects == clash.del_effects == frozenset()
+    # Locations are places, the subtype the parameters ask for.
+    drive = resolve_action("Drive-Truck", ["T1", "l1", "l2", "c1"], logistics_domain, problem)
+    assert drive == ground(logistics_domain.schema("drive-truck"), ["t1", "l1", "l2", "c1"])
+    assert drive.resolvable
 
 
 def test_grounding_is_pure_substitution(bw_domain, logistics_domain, logistics_problems):

@@ -826,6 +826,19 @@ def test_config_rejects_negative_costs(tmp_path, key):
     assert getattr(load_config(path), key.removeprefix("transform.")) == 0
 
 
+@pytest.mark.parametrize("floor", ["1.5", "-0.1"])
+def test_config_rejects_similarity_floor_outside_unit_interval(tmp_path, floor):
+    # A floor above every similarity would silently turn char_lcs into exact.
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"similarity.provider = char_lcs\nsimilarity.floor = {floor}\n")
+    with pytest.raises(ConfigError,
+                       match=r"config line 2: 'similarity.floor' must be in \[0, 1\]"):
+        load_config(path)
+    for edge in ("0", "1"):
+        path.write_text(f"similarity.provider = char_lcs\nsimilarity.floor = {edge}\n")
+        assert load_config(path).similarity.floor == Fraction(edge)
+
+
 @pytest.mark.parametrize("costs", [{"c_shift": Fraction(-1)}, {"c_map": Fraction(-1, 2)}],
                          ids=["c_shift", "c_map"])
 def test_negative_cost_in_code_is_a_transform_error_record(tmp_path, bw_domain, bw_problem,
@@ -918,6 +931,26 @@ def test_cli_validate(tmp_path, capsys):
     assert payload["lea"] == 0
     assert payload["failure"]["index"] == 1
     assert trace_path.read_text().count("\n") == 1  # only the initial state
+
+
+@pytest.mark.parametrize("plan_text, expected", [
+    # An unknown action name and an arity clash both stop execution as
+    # unresolvable, with no unmet preconditions to report.
+    ("(unstack b c)\nteleport a\n(put-down b)\n",
+     '{"executable": false, "failure": {"action": "(teleport a)", "index": 2, "unmet": [], '
+     '"unresolvable": true}, "lea": 1, "length": 3, "valid": false}\n'),
+    ("(unstack b c)\n(stack b b c)\n",
+     '{"executable": false, "failure": {"action": "(stack b b c)", "index": 2, "unmet": [], '
+     '"unresolvable": true}, "lea": 1, "length": 2, "valid": false}\n'),
+    (INSTANCE_10_GT, '{"executable": true, "lea": 6, "length": 6, "valid": true}\n'),
+], ids=["unknown-name", "arity-clash", "valid"])
+def test_cli_validate_failure_kinds(tmp_path, capsys, plan_text, expected):
+    plan_path = tmp_path / "candidate.plan"
+    plan_path.write_text(plan_text)
+    code = cli_main(["validate", "--domain", str(BW_DOMAIN_PATH),
+                     "--problem", str(BW_PROBLEM_PATH), "--plan", str(plan_path)])
+    assert code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_eval(tmp_path):

@@ -4,6 +4,7 @@ import functools
 import gc
 import random
 import re
+import sys
 import time
 import traceback
 import types
@@ -325,6 +326,28 @@ def test_eight_block_tower_stays_within_its_heuristic_call_ceiling(bw_domain):
     # 31,124 calls; evaluating h_max for every generated state took 74,901,
     # and the search once ran past the default timeout on this tower.
     assert tower_heuristic_calls(bw_domain, 8, 14) <= 35_000
+
+
+def test_seven_block_tower_depth_first_entries_stay_within_the_failure_memo_ceiling(
+        bw_domain, monkeypatch):
+    # Counts the depth-first pass's entries into a non-goal state: each one
+    # reads the clock once from `complete` itself.  The failure memo keeps
+    # the 7-block tower at 1,114 such entries, and the ceiling leaves about
+    # 10 % headroom; without the memo (no `failed.add(succ)`) the pass
+    # re-enters dead ends, 1,405 times.  On the 8-block tower the same
+    # count reads 7,825 and 13,770.
+    entries = 0
+
+    def monotonic():
+        nonlocal entries
+        entries += sys._getframe(1).f_code.co_name == "complete"
+        return 0.0
+
+    monkeypatch.setattr(planner, "time", types.SimpleNamespace(monotonic=monotonic))
+    blocks = [f"b{i}" for i in range(1, 8)]
+    problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
+    assert len(solve_optimal(problem, bw_domain)) == 12
+    assert entries <= 1_230
 
 
 def test_inconsistent_heuristic_is_reported(bw_domain, bw_problem):

@@ -63,8 +63,7 @@ def test_stv_step_kind_soundness(pi0_plan, gt_plan, bw_problem):
 
 def test_stv_bounds_on_random_plans(bw_domain, bw_problem, gt_plan):
     rng = random.Random(23)
-    pool = list(gt_plan.actions) + [GroundAction("warp", ("x",), resolvable=False,
-                                                 issue="unknown action name")]
+    pool = list(gt_plan.actions) + [GroundAction("warp", ("x",), resolvable=False)]
     for _ in range(100):
         plan = Plan(tuple(rng.choice(pool) for _ in range(rng.randint(0, 10))))
         steps = stv(plan, gt_plan, bw_problem)
@@ -125,8 +124,7 @@ def test_recover_valid_plan_is_identity(gt_plan, bw_problem):
 def test_recover_from_matching_prefix(bw_domain, bw_problem, gt_plan):
     # Two correct actions, then nonsense: corr keeps the prefix and the
     # completion is oracle-optimal from the reached state.
-    plan = Plan(gt_plan.actions[:2] + (GroundAction("warp", ("x",), resolvable=False,
-                                                    issue="unknown action name"),))
+    plan = Plan(gt_plan.actions[:2] + (GroundAction("warp", ("x",), resolvable=False),))
     outcome = recover(plan, gt_plan, simulate(plan, bw_problem),
                       simulate(gt_plan, bw_problem))
     assert len(outcome.corr) == 2

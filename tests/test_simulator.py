@@ -22,11 +22,12 @@ def test_applicable_empty_preconditions(bw_problem):
 
 
 def test_applicable_unresolvable_is_flagged(bw_problem):
-    bogus = GroundAction("foo", ("bar",), resolvable=False, issue="unknown action name")
+    # An unresolvable action has no preconditions, yet it stops execution.
+    bogus = GroundAction("foo", ("bar",), resolvable=False)
     result = simulate(Plan((bogus,)), bw_problem)
     assert result.lea == 0
-    assert result.failure_reason.unresolvable
-    assert result.failure_reason.unmet == ()
+    assert not result.executable
+    assert result.trace == (bw_problem.init,)
 
 
 def test_apply_unstack(bw_problem, gt_plan):
@@ -51,10 +52,12 @@ def test_apply_reverse_is_involution(bw_problem, gt_plan):
 
 
 def test_apply_unmet_preconditions(bw_problem, pi0_plan):
-    reason = simulate(pi0_plan[:1], bw_problem).failure_reason
-    assert reason.index == 1
-    assert ("on", "a", "c") in reason.unmet
-    assert not reason.unresolvable
+    result = simulate(pi0_plan[:1], bw_problem)
+    assert result.lea == 0
+    assert not result.executable
+    failed = pi0_plan[result.lea]  # (unstack a c)
+    assert failed.resolvable
+    assert ("on", "a", "c") in failed.preconditions - result.final_state
 
 
 def test_simulate_pi0(bw_problem, pi0_plan):
@@ -62,8 +65,7 @@ def test_simulate_pi0(bw_problem, pi0_plan):
     assert result.lea == 0
     assert result.trace == (bw_problem.init,)
     assert not result.executable
-    assert result.failure_reason is not None
-    assert result.failure_reason.index == 1
+    assert not result.valid
 
 
 def test_simulate_gt(bw_problem, gt_plan):
@@ -71,7 +73,7 @@ def test_simulate_gt(bw_problem, gt_plan):
     assert result.lea == 6
     assert result.executable
     assert len(result.trace) == 7
-    assert result.failure_reason is None
+    assert result.valid
 
 
 def test_simulate_empty_plan(bw_problem):
@@ -86,8 +88,8 @@ def test_simulate_stops_at_unresolvable(bw_domain, bw_problem):
     result = simulate(plan, bw_problem)
     assert result.lea == 1
     assert not result.executable
-    assert result.failure_reason.unresolvable
-    assert result.failure_reason.index == 2
+    assert len(result.trace) == 2
+    assert not plan[result.lea].resolvable  # (teleport a)
 
 
 def test_is_valid_running_example(bw_domain, bw_problem, pi0_plan, gt_plan):

@@ -600,24 +600,36 @@ def resolve_action(name: str, args: Sequence[str], domain: DomainModel,
 # ---------------------------------------------------------------------------
 
 
-def parse_plan(text: str, domain: DomainModel, problem: ProblemModel) -> Plan:
+def parse_plan(text: str, domain: DomainModel, problem: ProblemModel,
+               resolved: dict[tuple, GroundAction] | None = None) -> Plan:
     """Leniently parse one action per line.
 
     Blank lines and ``;`` comments are skipped, parentheses are optional and
     matching is case-insensitive.  Empty input yields an empty plan; a line
     that contains content but no parsable token raises
     :class:`~planeval.errors.MalformedLine`.
+
+    *resolved* maps each lower-cased ``(name, args)`` to its
+    :func:`resolve_action` against *domain* and *problem*.  A line looks its
+    action up there and adds it when missing, so a table shared by the plans
+    of one problem resolves each action once.
     """
+    if resolved is None:
+        resolved = {}
     actions: list[GroundAction] = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         comment = raw_line.find(";")
         line = raw_line[:comment] if comment >= 0 else raw_line
-        tokens = re.findall(r"[^\s()]+", line)
+        tokens = re.findall(r"[^\s()]+", line.lower())
         if not tokens:
             if line.strip():
                 raise MalformedLine(line_no, raw_line.strip())
             continue
-        actions.append(resolve_action(tokens[0], tokens[1:], domain, problem))
+        key = (tokens[0], tuple(tokens[1:]))
+        action = resolved.get(key)
+        if action is None:
+            action = resolved[key] = resolve_action(*key, domain, problem)
+        actions.append(action)
     return Plan(tuple(actions))
 
 

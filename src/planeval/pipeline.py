@@ -3,8 +3,10 @@ emit per-instance JSONL records and aggregate them into a metrics CSV.
 
 Within one process, batch rows parse each distinct domain and problem text
 once, and instances with equal domain and problem models share one solved
-ground truth.  Both caches hold at most 256 entries, evict the oldest first
-and never keep a failure.  With several jobs, the rows that share a domain
+ground truth and one table of per-problem work: each action's resolution,
+and pi1's score caps per ground truth and name-similarity provider.  Each
+of the three caches holds at most 256 entries, evicts the oldest first and
+never keeps a failure.  With several jobs, the rows that share a domain
 and problem file go to one worker together, largest groups first, so each
 problem is parsed and solved once per batch at any job count.
 
@@ -79,6 +81,15 @@ _GT_CACHE: dict[tuple[DomainModel, ProblemModel, str | None], Plan] = {}
 _GT_CACHE_SIZE = 256
 
 
+# Per-process tables of each domain and problem model pair (compared by
+# value): the resolution of each lower-cased (name, args), which parse_plan
+# and the pi1 search read and fill, and pi1's score caps per (GT keys,
+# provider).  An entry is stored only by a row that succeeds; oldest entry
+# evicted first.
+_PROBLEM_CACHE: dict[tuple[DomainModel, ProblemModel], tuple[dict, dict]] = {}
+_PROBLEM_CACHE_SIZE = 256
+
+
 def _cache_put(cache: dict, key, value, size: int) -> None:
     """Store *value*, first evicting the oldest entry if *cache* holds *size*."""
     if len(cache) >= size:
@@ -121,8 +132,10 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         except PlanEvalError as exc:
             raise InstanceError(name, exc) from exc
 
+    tables = _PROBLEM_CACHE.get((domain, problem))
+    resolved, caps = tables if tables is not None else ({}, {})
     if gt_plan_text is not None:
-        gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem)
+        gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem, resolved)
     else:
         # Keyed on exactly what a planner reads; the timeout only bounds the
         # search, and failures are never cached.
@@ -139,7 +152,7 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         raise InstanceError("check-gt", InvalidGroundTruth(
             f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
-    pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem)
+    pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, resolved)
     sim0 = simulate(pi0, problem)
 
     pairing = stage("pairing", pair_actions, pi0, gt_plan, config.similarity)
@@ -149,7 +162,12 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     normalized0 = normalize_score(breakdown0, pi0, gt_plan)
 
     try:
-        variant1 = find_best_variant(pi0, gt_plan, problem, domain, config)
+        gt_caps = caps.setdefault((gt_plan.keys(), config.similarity), {})
+    except TypeError:  # a provider that does not hash gets fresh caps per search
+        gt_caps = None
+    try:
+        variant1 = find_best_variant(pi0, gt_plan, problem, domain, config,
+                                     resolved=resolved, caps=gt_caps)
     except SearchBudgetExceeded as exc:
         flags["transform_budget_exceeded"] = True
         variant1 = exc.best
@@ -206,6 +224,8 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "penalized_score": float(variant1.penalized),
     })
     metrics["pi4"] = _plan_metrics(outcome.final, simulate(outcome.final, problem))
+    if tables is None:
+        _cache_put(_PROBLEM_CACHE, (domain, problem), (resolved, caps), _PROBLEM_CACHE_SIZE)
 
     return {
         "schema": SCHEMA_VERSION,

@@ -12,11 +12,13 @@ which depends on the mapping alone, says it can still beat the best variant
 scored so far.  Mappings are built depth first, and one whose completions
 all lose is skipped unremapped.  The bound never rises as a mapping is
 extended, so the empty mapping's bound, computed at most once per search,
-answers most of these tests without the bound of the mapping at hand.
+answers most of these tests without the bound of the mapping at hand.  A
+valid plan is not searched: the identity at shift 0 is its best variant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
@@ -25,7 +27,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, NonBijectiveMapping, SearchBudgetExceeded
 from .lcs import lcs_analyze
 from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
-from .scoring import ScoreBreakdown, plan_score, score_ceiling
+from .scoring import ZERO, ScoreBreakdown, plan_score, score_ceiling
 from .similarity import make_similarity_cache, pair_actions
 from .simulator import is_valid
 
@@ -77,7 +79,8 @@ def remap_params(plan: Plan, mapping: Mapping[str, str],
     Objects missing from *mapping* stay fixed.  Each remapped action is
     re-resolved against *domain* and *problem*, so type-invalid combinations
     come back flagged unresolvable.  *resolved* memoises the resolution of
-    each ``(name, args)`` across calls against the same domain and problem.
+    each ``(name, args)`` across calls against the same domain and problem;
+    it is the table that :func:`~planeval.pddl.parse_plan` reads and fills.
     """
     full = _full_mapping(plan, mapping)
     if resolved is None:
@@ -187,6 +190,8 @@ def score_variant(variant: Plan, transformation: Transformation, penalty: Fracti
 
 def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                       domain: DomainModel, config: PipelineConfig | None = None,
+                      resolved: dict[tuple, GroundAction] | None = None,
+                      caps: dict[tuple[str, int, int], Fraction] | None = None,
                       ) -> VariantScore:
     """Select the best variant over every (mapping, shift) combination and
     return its score; the winning variant, pi1, is its ``plan``.
@@ -195,6 +200,10 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     then the smaller shift, then the smaller mapping.  The identity
     transformation is always in the candidate set, so the winner's penalized
     score is never below the plan's own score.
+
+    A valid plan is its own pi1: the identity at shift 0 has penalty 0 and
+    no change, and every other (mapping, shift) makes at least one change.
+    So it is returned without a search, and never exceeds the budget.
 
     Mappings are built depth first, objects in order of first appearance,
     each trying its own image first, so the identity comes first.  Valid
@@ -205,24 +214,36 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     moving at least ``low`` objects, when (a) a valid variant is known and
     ``(c_map * low, low)`` exceeds its (penalty, changes), or (b) no
     completion can be valid and either a valid variant is known or the
-    ceiling minus ``c_map * low`` is below the best score.
+    ceiling minus ``c_map * low`` is below the best score.  Penalties and
+    floors are integers, ``c_shift`` and ``c_map`` scaled by the lcm of their
+    denominators; a penalty becomes a ``Fraction`` only in a variant's score.
 
     A node is a partial mapping tested for a skip or a variant visited.
     Once a winner exists and ``config.budget`` nodes have been counted, the
     search raises :class:`SearchBudgetExceeded` carrying the exact winner
     among the variants visited; the identity at shift 0 always is.  Raises
     :class:`ConfigError` when ``c_shift`` or ``c_map`` is negative.
+
+    *resolved* is :func:`remap_params`' table for *domain* and *problem*,
+    and *caps* is :func:`~planeval.scoring.score_ceiling`'s for *gt* and
+    ``config.similarity``; both are read and filled.
     """
     if config is None:
         config = PipelineConfig()
     if config.c_shift < 0 or config.c_map < 0:
         raise ConfigError(f"transform costs must be >= 0, got c_shift={config.c_shift} "
                           f"and c_map={config.c_map}")
+    if resolved is None:
+        resolved = {}
+    sim = make_similarity_cache(config.similarity)
     objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
+    identity = remap_params(plan, {}, domain, problem, resolved)
+    if is_valid(identity, problem):
+        return score_variant(identity, Transformation(0, tuple(sorted(zip(objs, objs)))),
+                             ZERO, gt, problem, sim)
     length = len(plan)
     shifts = list(range(length)) if length else [0]
-    sim = make_similarity_cache(config.similarity)
-    ceiling_of = score_ceiling(plan, gt, objs, config.similarity)
+    ceiling_of = score_ceiling(plan, gt, objs, config.similarity, caps)
     # The ceiling never rises as a mapping is extended, so the empty
     # mapping's, computed at most once, bounds every node: a test it already
     # answers needs no ceiling of the node's own.
@@ -234,15 +255,20 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
             root = ceiling_of(())
         return root
     dead = _no_valid_completion(plan, domain, problem, objs)
-    # Penalties, c_shift * circular shift distance + c_map * moved objects,
-    # indexed by the number of moved objects, then the shift; a row is built
-    # when a mapping first moves that many objects.
+    # Costs in units of 1 / scale.  Penalties, c_shift * circular shift
+    # distance + c_map * moved objects, are indexed by the number of moved
+    # objects, then the shift; a row is built when a mapping first moves
+    # that many objects.
+    c_shift, c_map = Fraction(config.c_shift), Fraction(config.c_map)
+    scale = math.lcm(c_shift.denominator, c_map.denominator)
+    c_shift, c_map = int(c_shift * scale), int(c_map * scale)
     magnitudes = [min(shift, length - shift) for shift in shifts]
-    penalties: dict[int, list[Fraction]] = {}
-    resolved: dict[tuple, GroundAction] = {}
+    penalties: dict[int, list[int]] = {}
 
     best: VariantScore | None = None  # best scored invalid variant
     best_rank: tuple = ()  # (changes, shift, mapping) of best
+    # Once best is known, a cost above this loses under the root ceiling.
+    root_limit = 0
     valid: tuple | None = None  # ((penalty, changes, shift, mapping), plan)
     nodes = 0
 
@@ -250,8 +276,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         if valid is None:
             return best
         (penalty, _, shift, pairs), variant = valid
-        return score_variant(variant, Transformation(shift, pairs), penalty, gt,
-                             problem, sim)
+        return score_variant(variant, Transformation(shift, pairs),
+                             Fraction(penalty, scale), gt, problem, sim)
 
     def count_node() -> None:
         nonlocal nodes
@@ -267,12 +293,12 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         # unassigned ones whose own name is already taken as an image.
         low = (sum(src != dst for src, dst in zip(objs, images))
                + len(set(images).intersection(objs[len(images):])))
-        floor = config.c_map * low
+        floor = c_map * low
         if valid is not None:
             return (floor, low) > valid[0][:2] or dead(images)
         return (best is not None and dead(images)
-                and (root_ceiling() - floor < best.penalized
-                     or ceiling_of(images) - floor < best.penalized))
+                and (floor > root_limit
+                     or floor > (ceiling_of(images) - best.penalized) * scale))
 
     for images in _assignments(objs, skip):
         mapped = remap_params(plan, dict(zip(objs, images)), domain, problem, resolved)
@@ -280,7 +306,7 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         moved = sum(src != dst for src, dst in pairs)
         costs = penalties.get(moved)
         if costs is None:
-            costs = penalties[moved] = [config.c_shift * magnitude + config.c_map * moved
+            costs = penalties[moved] = [c_shift * magnitude + c_map * moved
                                         for magnitude in magnitudes]
         # An unresolvable action never executes, so no shift can be valid.
         executable = all(action.resolvable for action in mapped)
@@ -300,16 +326,17 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
             if valid is not None:
                 continue
             if best is not None:
-                if penalty > root_ceiling() - best.penalized:  # so also > limit
+                if penalty > root_limit:  # so also > limit
                     continue
                 if limit is None:
-                    limit = (ceiling_of(images) - best.penalized, *best_rank)
+                    limit = ((ceiling_of(images) - best.penalized) * scale, *best_rank)
                 if (penalty, *rank) > limit:
                     continue
             candidate = score_variant(circular_shift(mapped, shift),
-                                      Transformation(shift, pairs), penalty, gt,
-                                      problem, sim)
+                                      Transformation(shift, pairs),
+                                      Fraction(penalty, scale), gt, problem, sim)
             if (best is None or candidate.penalized > best.penalized
                     or (candidate.penalized == best.penalized and rank < best_rank)):
                 best, best_rank, limit = candidate, rank, None
+                root_limit = math.floor((root_ceiling() - best.penalized) * scale)
     return winner()

@@ -213,6 +213,45 @@ def test_parse_plan_unknown_object_and_bad_arity(bw_domain, bw_problem):
     assert plan[2].key == ("stack", ("b", "b", "c"))
 
 
+# Per domain: lines that earlier rows parse, and lines each of which the
+# table must resolve as a fresh parse does: upper case, an unknown name, a
+# wrong arity, a type clash (typed Logistics only) and an undeclared object.
+WARM_TABLE_CASES = {
+    "blocksworld": ("(unstack a c)\n(put-down a)\n(pick-up b)\n(teleport a)\n",
+                    ["(UNSTACK A C)", "Put-Down A", "(unstack a c)", "(TELEPORT a)",
+                     "(teleport a b)", "(stack a)", "(stack b b c)", "(pick-up d)",
+                     "(PICK-UP D)"]),
+    "logistics": ("(load-truck p1 t1 l1)\n(drive-truck t1 l1 l2 c1)\n(drive-truck p1 l1 l2 c1)\n",
+                  ["(LOAD-TRUCK P1 T1 L1)", "(Drive-Truck t1 L1 l2 C1)", "(fly p1 l1)",
+                   "(load-truck p1 t1)", "(drive-truck p1 l1 l2 c1)",
+                   "(DRIVE-TRUCK P1 L1 L2 C1)", "(load-truck p9 t1 l1)",
+                   "(unload-truck p1 t1 l2)"]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(WARM_TABLE_CASES))
+def test_parse_plan_through_a_warm_table_equals_a_fresh_parse(
+        which, bw_domain, bw_problem, logistics_domain, logistics_problems):
+    domain, problem = ((bw_domain, bw_problem) if which == "blocksworld"
+                       else (logistics_domain, logistics_problems["log-01"]))
+    earlier, lines = WARM_TABLE_CASES[which]
+    table: dict = {}
+    parse_plan(earlier, domain, problem, table)
+    for line in lines:  # an earlier row that wrote each line in lower case
+        parse_plan(line.lower(), domain, problem, table)
+    filled = dict(table)
+    text = "\n".join(lines) + "\n"
+    warm = parse_plan(text, domain, problem, table)
+    fresh = parse_plan(text, domain, problem)
+    assert table == filled  # every line was a hit
+    assert len(warm) == len(fresh) == len(lines)
+    assert any(not action.resolvable for action in fresh)
+    for got, want in zip(warm, fresh):
+        assert (got.key, got.preconditions, got.add_effects, got.del_effects,
+                got.resolvable) == (want.key, want.preconditions, want.add_effects,
+                                    want.del_effects, want.resolvable)
+
+
 def test_parse_plan_malformed_line(bw_domain, bw_problem):
     with pytest.raises(MalformedLine):
         parse_plan("(unstack a c)\n()\n", bw_domain, bw_problem)

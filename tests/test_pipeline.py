@@ -23,7 +23,7 @@ from planeval.errors import (
 )
 from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
-from planeval.similarity import CharLcsSimilarity, SynonymTable
+from planeval.similarity import CharLcsSimilarity, SynonymTable, exact_name_similarity
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
 
@@ -533,6 +533,48 @@ def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
     assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
 
 
+def test_problem_tables_evict_oldest(monkeypatch, bw_domain):
+    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
+    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE_SIZE", 2)
+    problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
+                for i in range(3)]
+    for problem in problems:
+        evaluate_instance(bw_domain, problem, "(unstack b a)\n")
+    assert [key[1] for key in pipeline._PROBLEM_CACHE] == problems[1:]
+
+
+def test_failed_row_stores_no_problem_table(monkeypatch, bw_domain, bw_problem):
+    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
+    with pytest.raises(InstanceError):
+        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                          gt_plan_text="(pick-up a)\n")
+    assert pipeline._PROBLEM_CACHE == {}
+    evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                      gt_plan_text=INSTANCE_10_GT)
+    ((models, (resolved, caps)),) = pipeline._PROBLEM_CACHE.items()
+    assert models == (bw_domain, bw_problem)
+    assert all(action.key == key for key, action in resolved.items())
+    gt = planeval.parse_plan(INSTANCE_10_GT, bw_domain, bw_problem)
+    assert list(caps) == [(gt.keys(), PipelineConfig().similarity)]
+
+
+def test_provider_that_does_not_hash_gives_the_same_record(monkeypatch, bw_domain,
+                                                          bw_problem):
+    # pi1's caps are cached per provider; one that cannot be a key still works.
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, a, b):
+            return exact_name_similarity(a, b)
+
+    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
+    records = [evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                                 gt_plan_text=INSTANCE_10_GT,
+                                 config=PipelineConfig(similarity=provider))
+               for provider in (Unhashable(), Unhashable(), exact_name_similarity)]
+    assert records[0] == records[1] == records[2]
+
+
 # ---------------------------------------------------------------------------
 # Parse cache
 # ---------------------------------------------------------------------------
@@ -598,6 +640,30 @@ def test_batch_parses_each_distinct_text_once(tmp_path, monkeypatch):
         BW_DOMAIN_PATH.read_text(), bw_text][0]
 
 
+def test_batch_grounds_each_action_once_per_problem(tmp_path, monkeypatch):
+    # Rows of one problem share its resolution table: the candidates, the
+    # GT file and the pi1 search's remapped actions are grounded once.
+    from collections import Counter
+
+    from planeval import pddl
+
+    for cache in ("_PARSE_CACHE", "_GT_CACHE", "_PROBLEM_CACHE"):
+        monkeypatch.setattr(pipeline, cache, {})
+    grounded: list = []  # resolve_action's calls; the planner holds its own reference
+    ground = pddl.ground
+    monkeypatch.setattr(pddl, "ground", lambda schema, args: grounded.append(
+        (schema.name, tuple(args))) or ground(schema, args))
+    manifest = shared_files_manifest(tmp_path)
+    result = evaluate_batch(manifest)
+    assert result.failed_rows == ["broken"]
+    counts = Counter(grounded)
+    assert len(counts) > 10 and set(counts.values()) == {1}
+    # A second batch in the same process finds every action in the table.
+    grounded.clear()
+    evaluate_batch(manifest)
+    assert grounded == []
+
+
 @pytest.mark.parametrize("broken", ["domain", "problem"])
 def test_unparsable_text_is_never_cached(tmp_path, monkeypatch, broken):
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
@@ -642,6 +708,7 @@ def test_warm_caches_give_byte_identical_records(tmp_path, monkeypatch, jobs):
     manifest = shared_files_manifest(tmp_path)
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
     evaluate_batch(manifest, jobs=jobs, out_jsonl=tmp_path / "cold.jsonl")
     # Fill this process's caches; forked batch workers start with a copy.
     evaluate_batch(manifest)

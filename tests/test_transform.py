@@ -599,6 +599,82 @@ def test_search_budget_exceeded_carries_best(pi0_plan, gt_plan, bw_problem, bw_d
         assert best_score.plan.keys() == pi0_plan.keys()
 
 
+@pytest.mark.parametrize("budget", [0, 1, 100_000])
+def test_valid_plan_is_its_own_variant_without_a_search(monkeypatch, gt_plan, bw_problem,
+                                                        bw_domain, budget):
+    # The identity at shift 0 has penalty 0 and no change, and every other
+    # variant changes something, so no budget is spent and none is exceeded.
+    nodes = _recorded_nodes(monkeypatch)
+    best = find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain,
+                             PipelineConfig(budget=budget))
+    assert nodes == []
+    assert best.transformation == Transformation(0, (("a", "a"), ("b", "b"), ("c", "c")))
+    assert best.breakdown.valid and best.penalty == 0
+    assert best.penalized == best.breakdown.total
+    assert best.plan.keys() == gt_plan.keys()
+
+
+@pytest.mark.parametrize("c_shift, c_map", [(Fraction(1, 3), Fraction(2, 5)),
+                                            (Fraction(0), Fraction(1, 2))],
+                         ids=["third-two-fifths", "zero-half"])
+@pytest.mark.parametrize("which", ["pi0", "shuffled-gt"])
+def test_fractional_costs_match_oracle(pi0_plan, gt_plan, bw_problem, bw_domain,
+                                       which, c_shift, c_map):
+    # The search counts penalties in integers over the lcm of the cost
+    # denominators, here 15 and 2.
+    plan = pi0_plan if which == "pi0" else circular_shift(gt_plan, 2)
+    config = PipelineConfig(c_shift=c_shift, c_map=c_map)
+    best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+    oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config)
+    assert best.transformation == oracle.transformation
+    assert best.penalty == oracle.penalty
+    assert best.penalized == oracle.penalized
+    assert best.plan.keys() == oracle.plan.keys()
+
+
+def test_warm_tables_give_the_fresh_winner(pi0_plan, gt_plan, bw_problem, bw_domain,
+                                           logistics_domain, logistics_problems):
+    # Tables that earlier searches against the same problem and ground truth
+    # filled give each search the result it gets without them.
+    log = logistics_problems["log-04"]
+    log_gt = solve_optimal(log, logistics_domain)
+    swapped = remap_params(log_gt, {"p1": "p2", "p2": "p1"}, logistics_domain, log)
+    searches = [(pi0_plan, gt_plan, bw_problem, bw_domain),
+                (circular_shift(gt_plan, 2), gt_plan, bw_problem, bw_domain),
+                (_hallucinated(gt_plan, bw_domain, bw_problem), gt_plan, bw_problem, bw_domain),
+                (swapped, log_gt, log, logistics_domain)]
+    for provider in PROVIDERS.values():
+        config = PipelineConfig(similarity=provider)
+        resolved = {domain: {} for domain in (bw_domain.name, logistics_domain.name)}
+        caps = {domain: {} for domain in resolved}
+        for _ in range(2):
+            for plan, gt, problem, domain in searches:
+                warm = find_best_variant(plan, gt, problem, domain, config,
+                                         resolved=resolved[domain.name],
+                                         caps=caps[domain.name])
+                assert warm == find_best_variant(plan, gt, problem, domain, config)
+        assert all(caps.values())
+
+
+@pytest.mark.parametrize("provider", list(PROVIDERS.values()), ids=list(PROVIDERS))
+def test_score_ceiling_with_warm_caps_equals_fresh(gt_plan, bw_domain, bw_problem, provider):
+    # Plans with objects outside the ground truth need caps for every j.
+    plans = [parse_plan(text, bw_domain, bw_problem) for text in (
+        "(pick-up z)\n(stack z a)\n(lift c)\n(unstack a z)\n",
+        "(unstack x9 y9)\n(stack a b)\n(put-down x9)\n",
+        "(put-down b)\n(pick-up a)\n(unstack b c)\n(stack a c)\n")]
+    caps: dict = {}
+    for _ in range(2):
+        for plan in plans:
+            objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
+            warm = score_ceiling(plan, gt_plan, objs, provider, caps)
+            fresh = score_ceiling(plan, gt_plan, objs, provider)
+            for images in itertools.permutations(objs):
+                assert [warm(images[:k]) for k in range(len(objs) + 1)] == [
+                    fresh(images[:k]) for k in range(len(objs) + 1)]
+    assert {j for _, _, j in caps} == {0, 1, 2}
+
+
 def test_search_is_deterministic(pi0_plan, gt_plan, bw_problem, bw_domain):
     outcomes = [find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
                 for _ in range(3)]

@@ -3,10 +3,10 @@ emit per-instance JSONL records and aggregate them into a metrics CSV.
 
 Within one process, batch rows parse each distinct domain and problem text
 once, and instances with equal domain and problem models share one solved
-ground truth and one table of per-problem work: each action's resolution,
-and pi1's score caps per ground truth and name-similarity provider.  Each
-of the three caches holds at most 256 entries, evicts the oldest first and
-never keeps a failure.  With several jobs, the rows that share a domain
+ground truth and one table of resolved actions, cut back to the 256 it
+resolved first after each row's pi1 search.  Each of the three caches
+holds at most 256 entries, evicts the oldest first and never keeps a
+failure.  With several jobs, the rows that share a domain
 and problem file go to one worker together, largest groups first, so each
 problem is parsed and solved once per batch at any job count.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +36,8 @@ from .errors import (
     read_text,
 )
 from .lcs import best_subplan, lcs_analyze
-from .pddl import DomainModel, Plan, ProblemModel, parse_domain, parse_plan, parse_problem
+from .pddl import (DomainModel, GroundAction, Plan, ProblemModel, parse_domain, parse_plan,
+                   parse_problem)
 from .planner import solve_optimal
 from .recovery import recover, steps_to_validity
 from .scoring import normalize_score, plan_score, potential
@@ -81,13 +83,15 @@ _GT_CACHE: dict[tuple[DomainModel, ProblemModel, str | None], Plan] = {}
 _GT_CACHE_SIZE = 256
 
 
-# Per-process tables of each domain and problem model pair (compared by
-# value): the resolution of each lower-cased (name, args), which parse_plan
-# and the pi1 search read and fill, and pi1's score caps per (GT keys,
-# provider).  An entry is stored only by a row that succeeds; oldest entry
-# evicted first.
-_PROBLEM_CACHE: dict[tuple[DomainModel, ProblemModel], tuple[dict, dict]] = {}
-_PROBLEM_CACHE_SIZE = 256
+# Per-process resolution tables, one per domain and problem model pair
+# (compared by value): each lower-cased (name, args) to its GroundAction.
+# parse_plan and the pi1 search read and fill them.  A table keeps at most
+# _RESOLVED_SIZE actions, the oldest, once a row's search is done; only a
+# row that succeeds stores a new table, and the oldest table is evicted
+# first.
+_RESOLVED_CACHE: dict[tuple[DomainModel, ProblemModel], dict[tuple, GroundAction]] = {}
+_RESOLVED_CACHE_SIZE = 256
+_RESOLVED_SIZE = 256
 
 
 def _cache_put(cache: dict, key, value, size: int) -> None:
@@ -95,6 +99,13 @@ def _cache_put(cache: dict, key, value, size: int) -> None:
     if len(cache) >= size:
         del cache[next(iter(cache))]
     cache[key] = value
+
+
+def _keep_oldest(table: dict, size: int) -> None:
+    """Drop all but the *size* oldest entries of *table*."""
+    if len(table) > size:
+        for key in list(itertools.islice(table, size, None)):
+            del table[key]
 
 
 def evaluate_instance(domain: DomainModel, problem: ProblemModel,
@@ -132,8 +143,8 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         except PlanEvalError as exc:
             raise InstanceError(name, exc) from exc
 
-    tables = _PROBLEM_CACHE.get((domain, problem))
-    resolved, caps = tables if tables is not None else ({}, {})
+    cached = _RESOLVED_CACHE.get((domain, problem))
+    resolved = cached if cached is not None else {}
     if gt_plan_text is not None:
         gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem, resolved)
     else:
@@ -162,17 +173,14 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
     normalized0 = normalize_score(breakdown0, pi0, gt_plan)
 
     try:
-        gt_caps = caps.setdefault((gt_plan.keys(), config.similarity), {})
-    except TypeError:  # a provider that does not hash gets fresh caps per search
-        gt_caps = None
-    try:
-        variant1 = find_best_variant(pi0, gt_plan, problem, domain, config,
-                                     resolved=resolved, caps=gt_caps)
+        variant1 = find_best_variant(pi0, gt_plan, problem, domain, config, resolved=resolved)
     except SearchBudgetExceeded as exc:
         flags["transform_budget_exceeded"] = True
         variant1 = exc.best
     except PlanEvalError as exc:
         raise InstanceError("transform", exc) from exc
+    finally:
+        _keep_oldest(resolved, _RESOLVED_SIZE)
     pi1 = variant1.plan
 
     pi2 = stage("subplan", best_subplan, pi0, lcs0, problem)
@@ -224,8 +232,8 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "penalized_score": float(variant1.penalized),
     })
     metrics["pi4"] = _plan_metrics(outcome.final, simulate(outcome.final, problem))
-    if tables is None:
-        _cache_put(_PROBLEM_CACHE, (domain, problem), (resolved, caps), _PROBLEM_CACHE_SIZE)
+    if cached is None:
+        _cache_put(_RESOLVED_CACHE, (domain, problem), resolved, _RESOLVED_CACHE_SIZE)
 
     return {
         "schema": SCHEMA_VERSION,

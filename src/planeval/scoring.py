@@ -131,8 +131,7 @@ def placeholder_similarity(name: str, arity: int, other: str, other_arity: int,
 
 
 def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
-                  provider: NameSimilarityProvider,
-                  caps: dict[tuple[str, int, int], Fraction] | None = None,
+                  provider: NameSimilarityProvider
                   ) -> Callable[[tuple[str, ...]], Fraction]:
     """Upper bound on the raw total of any invalid variant of *plan*: a
     permutation of its objects *objs*, then a circular shift.
@@ -149,14 +148,8 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
     occurs in the ground truth.  The substring bonus is at most twice the
     longest cyclic run of actions each of which can equal the ground-truth
     action after the one its predecessor can.  The bound is summed in
-    integers over one denominator, and the caps are scaled to it at the
-    first call.
-
-    A cap depends only on the ground truth's (name, arity) shapes, the
-    action's (name, arity, j) and *provider*.  *caps* maps (name, arity, j)
-    to the cap for this *gt* and *provider*; missing caps are computed and
-    added, so a table shared by the searches against one ground truth
-    computes each cap once.
+    integers over one denominator, and the caps are computed at the first
+    call.
 
     The bound never rises as the images are extended: an argument that gets
     an image, or whose unused ground-truth images run out, leaves ``j`` as
@@ -170,12 +163,10 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
             (index, action.args))
     gt_objects = {arg for action in gt for arg in action.args}
     gt_images = gt_objects.intersection(objs)  # those a mapping can produce
-    if caps is None:
-        caps = {}
     # Scaled by one denominator at the first call: the base, the shared
     # ceiling, the substring bonus and the cap per (name, arity, j).
     scaled: list[int] = []
-    scaled_caps: dict[tuple[str, int, int], int] = {}
+    caps: dict[tuple[str, int, int], int] = {}
 
     def scale() -> None:
         gt_names = {action.name for action in gt}
@@ -183,19 +174,17 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
         for name, arity in {(action.name, len(action.args)) for action in plan}:
             # Only a plan object outside the ground truth makes j < arity.
             for j in range(arity + 1) if len(gt_images) < len(objs) else [arity]:
-                cap = caps.get((name, arity, j))
-                if cap is None:
-                    cap = caps[name, arity, j] = max(
-                        placeholder_similarity(name, arity, other, other_arity, j, provider)
-                        for other, other_arity in gt_targets) + (
-                            PAIR_BONUS if name in gt_names else ZERO)
-                fractions[name, arity, j] = cap
+                similarity = max(placeholder_similarity(name, arity, other, other_arity,
+                                                        j, provider)
+                                 for other, other_arity in gt_targets)
+                fractions[name, arity, j] = similarity + (PAIR_BONUS if name in gt_names
+                                                          else ZERO)
         constants = [len(plan) - length_penalty(len(plan), len(gt)),
                      SHARED_ACTION_CEILING, SUBSTRING_BONUS_PER_ACTION]
         denominator = math.lcm(*(value.denominator
                                  for value in [*constants, *fractions.values()]))
         scaled.extend([*(int(value * denominator) for value in constants), denominator])
-        scaled_caps.update((key, int(value * denominator)) for key, value in fractions.items())
+        caps.update((key, int(value * denominator)) for key, value in fractions.items())
 
     def ceiling(images: tuple[str, ...]) -> Fraction:
         if not scaled:
@@ -207,7 +196,7 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
         positions: list[list[int]] = []  # per action, the ground-truth indices it may equal
         for action in plan:
             args = tuple(image.get(arg) for arg in action.args)
-            cap = scaled_caps[action.name, len(args), sum(
+            cap = caps[action.name, len(args), sum(
                 arg in gt_objects if arg is not None else bool(free) for arg in args)]
             matches = [index for index, target in gt_targets.get((action.name, len(args)), ())
                        if all(dst == other if dst is not None else other in free

@@ -20,7 +20,6 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import ConfigError, read_text
@@ -98,35 +97,30 @@ class CharLcsSimilarity:
         return ratio if ratio >= self.floor else ZERO
 
 
-def _synonym_entry(a: str, b: str, score: Fraction) -> tuple[tuple[str, str], Fraction]:
-    """The table key of the pair (*a*, *b*) and its checked *score*."""
-    if not ZERO <= score <= ONE:
-        raise ConfigError(f"synonym score for ({a}, {b}) outside [0, 1]: {score}")
-    return tuple(sorted((a.lower(), b.lower()))), score  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
+@dataclass
 class SynonymTable:
     """Strict provider with user-supplied synonym scores.
 
     The table file holds one ``name1 name2 score`` entry per line, with
-    ``score`` in [0, 1]; lookups are symmetric and case-insensitive.  The
-    entries are read-only, and tables compare and hash by value.
+    ``score`` in [0, 1]; lookups are symmetric and case-insensitive.
     """
 
-    table: Mapping[tuple[str, str], Fraction] = field(default_factory=dict)
+    table: dict[tuple[str, str], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        entries = dict(_synonym_entry(a, b, Fraction(score))
-                       for (a, b), score in self.table.items())
-        object.__setattr__(self, "table", MappingProxyType(entries))
+        entries, self.table = self.table, {}
+        for (a, b), score in entries.items():
+            self._add(a, b, Fraction(score))
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.table.items()))
+    def _add(self, a: str, b: str, score: Fraction) -> None:
+        if not ZERO <= score <= ONE:
+            raise ConfigError(f"synonym score for ({a}, {b}) outside [0, 1]: {score}")
+        key = tuple(sorted((a.lower(), b.lower())))
+        self.table[key] = score  # type: ignore[index]
 
     @classmethod
     def load(cls, path: str | Path) -> "SynonymTable":
-        entries: dict[tuple[str, str], Fraction] = {}
+        provider = cls()
         text = read_text(path, f"synonym table {path}", ConfigError)
         for line_no, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
@@ -137,11 +131,10 @@ class SynonymTable:
                 raise ConfigError(
                     f"synonym table {path} line {line_no}: expected 'name1 name2 score'")
             try:
-                key, score = _synonym_entry(parts[0], parts[1], Fraction(parts[2]))
+                provider._add(parts[0], parts[1], Fraction(parts[2]))
             except (ValueError, ZeroDivisionError, ConfigError) as exc:
                 raise ConfigError(f"synonym table {path} line {line_no}: {exc}") from exc
-            entries[key] = score
-        return cls(entries)
+        return provider
 
     def __call__(self, a: str, b: str) -> Fraction:
         a, b = a.lower(), b.lower()

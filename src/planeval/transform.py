@@ -13,7 +13,7 @@ scored so far.  Mappings are built depth first, and one whose completions
 all lose is skipped unremapped.  The bound never rises as a mapping is
 extended, so the empty mapping's bound, computed at most once per search,
 answers most of these tests without the bound of the mapping at hand.  A
-valid plan is not searched: the identity at shift 0 is its best variant.
+valid plan's search ends at its first variant, the identity at shift 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, NonBijectiveMapping, SearchBudgetExceeded
 from .lcs import lcs_analyze
 from .pddl import DomainModel, GroundAction, Plan, ProblemModel, resolve_action
-from .scoring import ZERO, ScoreBreakdown, plan_score, score_ceiling
+from .scoring import ScoreBreakdown, plan_score, score_ceiling
 from .similarity import make_similarity_cache, pair_actions
 from .simulator import is_valid
 
@@ -191,7 +191,6 @@ def score_variant(variant: Plan, transformation: Transformation, penalty: Fracti
 def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                       domain: DomainModel, config: PipelineConfig | None = None,
                       resolved: dict[tuple, GroundAction] | None = None,
-                      caps: dict[tuple[str, int, int], Fraction] | None = None,
                       ) -> VariantScore:
     """Select the best variant over every (mapping, shift) combination and
     return its score; the winning variant, pi1, is its ``plan``.
@@ -203,7 +202,7 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
 
     A valid plan is its own pi1: the identity at shift 0 has penalty 0 and
     no change, and every other (mapping, shift) makes at least one change.
-    So it is returned without a search, and never exceeds the budget.
+    So the search ends at that first variant, and never exceeds the budget.
 
     Mappings are built depth first, objects in order of first appearance,
     each trying its own image first, so the identity comes first.  Valid
@@ -224,9 +223,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     among the variants visited; the identity at shift 0 always is.  Raises
     :class:`ConfigError` when ``c_shift`` or ``c_map`` is negative.
 
-    *resolved* is :func:`remap_params`' table for *domain* and *problem*,
-    and *caps* is :func:`~planeval.scoring.score_ceiling`'s for *gt* and
-    ``config.similarity``; both are read and filled.
+    *resolved* is :func:`remap_params`' table for *domain* and *problem*;
+    the search reads and fills it.
     """
     if config is None:
         config = PipelineConfig()
@@ -235,15 +233,11 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                           f"and c_map={config.c_map}")
     if resolved is None:
         resolved = {}
-    sim = make_similarity_cache(config.similarity)
     objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
-    identity = remap_params(plan, {}, domain, problem, resolved)
-    if is_valid(identity, problem):
-        return score_variant(identity, Transformation(0, tuple(sorted(zip(objs, objs)))),
-                             ZERO, gt, problem, sim)
     length = len(plan)
     shifts = list(range(length)) if length else [0]
-    ceiling_of = score_ceiling(plan, gt, objs, config.similarity, caps)
+    sim = make_similarity_cache(config.similarity)
+    ceiling_of = score_ceiling(plan, gt, objs, config.similarity)
     # The ceiling never rises as a mapping is extended, so the empty
     # mapping's, computed at most once, bounds every node: a test it already
     # answers needs no ceiling of the node's own.
@@ -276,8 +270,12 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         if valid is None:
             return best
         (penalty, _, shift, pairs), variant = valid
-        return score_variant(variant, Transformation(shift, pairs),
-                             Fraction(penalty, scale), gt, problem, sim)
+        # Scored as score_variant scores a valid variant, without simulating
+        # it again.
+        breakdown = plan_score(variant, gt, None, None, True)
+        cost = Fraction(penalty, scale)
+        return VariantScore(Transformation(shift, pairs), variant, breakdown, cost,
+                            breakdown.total - cost)
 
     def count_node() -> None:
         nonlocal nodes
@@ -322,6 +320,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
                 variant = circular_shift(mapped, shift)
                 if is_valid(variant, problem):
                     valid = ((penalty, *rank), variant)
+                    if not rank[0]:  # no change: the identity at shift 0 wins
+                        return winner()
                     continue
             if valid is not None:
                 continue

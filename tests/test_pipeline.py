@@ -23,7 +23,7 @@ from planeval.errors import (
 )
 from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
-from planeval.similarity import CharLcsSimilarity, SynonymTable, exact_name_similarity
+from planeval.similarity import CharLcsSimilarity, SynonymTable
 
 from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
 
@@ -533,46 +533,46 @@ def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
     assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
 
 
-def test_problem_tables_evict_oldest(monkeypatch, bw_domain):
-    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
-    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE_SIZE", 2)
+def test_resolution_tables_evict_oldest(monkeypatch, bw_domain):
+    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
+    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE_SIZE", 2)
     problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
                 for i in range(3)]
     for problem in problems:
         evaluate_instance(bw_domain, problem, "(unstack b a)\n")
-    assert [key[1] for key in pipeline._PROBLEM_CACHE] == problems[1:]
+    assert [key[1] for key in pipeline._RESOLVED_CACHE] == problems[1:]
 
 
-def test_failed_row_stores_no_problem_table(monkeypatch, bw_domain, bw_problem):
-    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
+def test_failed_row_stores_no_resolution_table(monkeypatch, bw_domain, bw_problem):
+    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
     with pytest.raises(InstanceError):
         evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                           gt_plan_text="(pick-up a)\n")
-    assert pipeline._PROBLEM_CACHE == {}
+    assert pipeline._RESOLVED_CACHE == {}
     evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                       gt_plan_text=INSTANCE_10_GT)
-    ((models, (resolved, caps)),) = pipeline._PROBLEM_CACHE.items()
+    ((models, resolved),) = pipeline._RESOLVED_CACHE.items()
     assert models == (bw_domain, bw_problem)
     assert all(action.key == key for key, action in resolved.items())
-    gt = planeval.parse_plan(INSTANCE_10_GT, bw_domain, bw_problem)
-    assert list(caps) == [(gt.keys(), PipelineConfig().similarity)]
 
 
-def test_provider_that_does_not_hash_gives_the_same_record(monkeypatch, bw_domain,
-                                                          bw_problem):
-    # pi1's caps are cached per provider; one that cannot be a key still works.
-    class Unhashable:
-        __hash__ = None
-
-        def __call__(self, a, b):
-            return exact_name_similarity(a, b)
-
-    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
-    records = [evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
-                                 gt_plan_text=INSTANCE_10_GT,
-                                 config=PipelineConfig(similarity=provider))
-               for provider in (Unhashable(), Unhashable(), exact_name_similarity)]
-    assert records[0] == records[1] == records[2]
+def test_resolution_table_keeps_its_oldest_actions(monkeypatch, bw_domain, bw_problem):
+    # Once a row's search is done, its problem's table is cut back to the
+    # _RESOLVED_SIZE actions resolved first: here the ground truth's.
+    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
+    unbounded = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                                  gt_plan_text=INSTANCE_10_GT)
+    ((_, resolved),) = pipeline._RESOLVED_CACHE.items()
+    assert len(resolved) > 10
+    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
+    monkeypatch.setattr(pipeline, "_RESOLVED_SIZE", 3)
+    for _ in range(2):
+        record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                                   gt_plan_text=INSTANCE_10_GT)
+        assert record == unbounded
+        ((_, resolved),) = pipeline._RESOLVED_CACHE.items()
+        gt = planeval.parse_plan(INSTANCE_10_GT, bw_domain, bw_problem)
+        assert list(resolved) == list(dict.fromkeys(gt.keys()))[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +647,7 @@ def test_batch_grounds_each_action_once_per_problem(tmp_path, monkeypatch):
 
     from planeval import pddl
 
-    for cache in ("_PARSE_CACHE", "_GT_CACHE", "_PROBLEM_CACHE"):
+    for cache in ("_PARSE_CACHE", "_GT_CACHE", "_RESOLVED_CACHE"):
         monkeypatch.setattr(pipeline, cache, {})
     grounded: list = []  # resolve_action's calls; the planner holds its own reference
     ground = pddl.ground
@@ -708,7 +708,7 @@ def test_warm_caches_give_byte_identical_records(tmp_path, monkeypatch, jobs):
     manifest = shared_files_manifest(tmp_path)
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
-    monkeypatch.setattr(pipeline, "_PROBLEM_CACHE", {})
+    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
     evaluate_batch(manifest, jobs=jobs, out_jsonl=tmp_path / "cold.jsonl")
     # Fill this process's caches; forked batch workers start with a copy.
     evaluate_batch(manifest)
@@ -719,6 +719,15 @@ def test_warm_caches_give_byte_identical_records(tmp_path, monkeypatch, jobs):
     if jobs == 1:
         assert [args[0] for args in domains] == [BROKEN_PDDL]
         assert solves == []
+
+
+def test_synonym_table_config_gives_the_same_records_with_two_jobs(tmp_path):
+    # Batch workers receive the configuration pickled, synonym table included.
+    manifest = shared_files_manifest(tmp_path)
+    config = PipelineConfig(similarity=SynonymTable({("pick-up", "lift"): Fraction(9, 10)}))
+    single, pooled = (evaluate_batch(manifest, jobs=jobs, config=config) for jobs in (1, 2))
+    assert pooled.records == single.records
+    assert pooled.failed_rows == single.failed_rows == ["broken"]
 
 
 def test_manifest_missing_column(tmp_path):

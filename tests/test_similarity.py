@@ -82,19 +82,6 @@ def test_synonym_table_with_byte_order_mark_scores_its_first_pair(tmp_path):
     assert SynonymTable.load(path)("lift", "pick-up") == Fraction(4, 5)
 
 
-def test_synonym_tables_compare_and_hash_by_value(tmp_path):
-    # pi1's score caps are cached per provider, so a table must hash.
-    path = tmp_path / "synonyms.txt"
-    path.write_text("pick-up lift 0.8\nstack place-on 0.9\n")
-    first, second = SynonymTable.load(path), SynonymTable.load(path)
-    assert first == second and hash(first) == hash(second)
-    assert first == SynonymTable({("LIFT", "pick-up"): "4/5", ("place-on", "stack"): "0.9"})
-    path.write_text("pick-up lift 0.8\nstack place-on 0.9\nput-down drop 0.7\n")
-    assert SynonymTable.load(path) != first
-    with pytest.raises(TypeError):
-        first.table[("a", "b")] = Fraction(1)
-
-
 def test_synonym_table_rejects_bad_scores(tmp_path):
     path = tmp_path / "synonyms.txt"
     path.write_text("a b 1.5\n")

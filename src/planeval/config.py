@@ -47,11 +47,11 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
 
     ``#`` starts a comment at the start of a line or after whitespace, so a
     value may contain ``#``; blank lines are ignored; unknown keys and
-    ``similarity.provider`` values, a negative ``transform.c_shift`` or
-    ``transform.c_map``, a ``similarity.floor`` outside [0, 1] and a
-    ``planner.timeout`` that is not finite and above 0 are errors.  The
-    ``similarity.*`` keys, in any order, build one provider: ``char_lcs``
-    ignores ``similarity.synonyms``.
+    ``similarity.provider`` values, a negative ``transform.c_shift``,
+    ``transform.c_map`` or ``transform.budget``, a ``similarity.floor``
+    outside [0, 1] and a ``planner.timeout`` that is not finite and above 0
+    are errors.  The ``similarity.*`` keys, in any order, build one
+    provider: ``char_lcs`` ignores ``similarity.synonyms``.
     """
     if path is None:
         return PipelineConfig()
@@ -74,7 +74,7 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             values[key] = _KEY_MAP[key][1](value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"config line {line_no}: bad value for '{key}': {exc}") from exc
-        if key in ("transform.c_shift", "transform.c_map") and values[key] < 0:
+        if key.startswith("transform.") and values[key] < 0:
             raise ConfigError(f"config line {line_no}: '{key}' must be >= 0, got {value}")
         if key == "similarity.floor" and not 0 <= values[key] <= 1:
             raise ConfigError(f"config line {line_no}: '{key}' must be in [0, 1], got {value}")

@@ -2,13 +2,15 @@
 emit per-instance JSONL records and aggregate them into a metrics CSV.
 
 Within one process, batch rows parse each distinct domain and problem text
-once, and instances with equal domain and problem models share one solved
-ground truth and one table of resolved actions, cut back to the 256 it
-resolved first after each row's pi1 search.  Each of the three caches
-holds at most 256 entries, evicts the oldest first and never keeps a
-failure.  With several jobs, the rows that share a domain
-and problem file go to one worker together, largest groups first, so each
-problem is parsed and solved once per batch at any job count.
+once, and instances with equal domain and problem models share one cache
+entry: the ground truth solved for each planner command and one table of
+resolved actions, cut back to the 256 it resolved first after each row's
+pi1 search or a failure before it.  The parse cache, the per-problem cache
+and each entry's ground truths hold at most 256 entries each, evict the
+oldest first and never keep a failed parse or solve.  With several jobs,
+the rows that share a domain and problem file go to one worker together,
+largest groups first, so each problem is parsed and solved once per batch
+at any job count.
 
 A missing or empty candidate plan is evaluated as the empty plan (the
 defaulted record), so group means always cover every instance.  Aggregation
@@ -76,36 +78,30 @@ def _plan_metrics(plan: Plan, result: SimulationResult, stv: int | None = None) 
     return metrics
 
 
-# Per-process cache of solved ground truths, keyed on the domain and problem
-# models (compared by value) plus the external planner command; oldest entry
-# evicted first.
-_GT_CACHE: dict[tuple[DomainModel, ProblemModel, str | None], Plan] = {}
-_GT_CACHE_SIZE = 256
+#: Entries each per-process cache below keeps, oldest evicted first; also
+#: the ground truths each problem entry keeps, and the actions its
+#: resolution table keeps between rows.
+_CACHE_SIZE = 256
+
+# Per-process cache, one entry per domain and problem model pair (compared
+# by value): the ground truths solved for it, keyed on the external planner
+# command, and its resolution table, each lower-cased (name, args) to its
+# GroundAction, which parse_plan and the pi1 search read and fill.
+_GT_CACHE: dict[tuple[DomainModel, ProblemModel],
+                tuple[dict[str | None, Plan], dict[tuple, GroundAction]]] = {}
 
 
-# Per-process resolution tables, one per domain and problem model pair
-# (compared by value): each lower-cased (name, args) to its GroundAction.
-# parse_plan and the pi1 search read and fill them.  A table keeps at most
-# _RESOLVED_SIZE actions, the oldest, once a row's search is done; only a
-# row that succeeds stores a new table, and the oldest table is evicted
-# first.
-_RESOLVED_CACHE: dict[tuple[DomainModel, ProblemModel], dict[tuple, GroundAction]] = {}
-_RESOLVED_CACHE_SIZE = 256
-_RESOLVED_SIZE = 256
-
-
-def _cache_put(cache: dict, key, value, size: int) -> None:
-    """Store *value*, first evicting the oldest entry if *cache* holds *size*."""
-    if len(cache) >= size:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
-def _keep_oldest(table: dict, size: int) -> None:
-    """Drop all but the *size* oldest entries of *table*."""
-    if len(table) > size:
-        for key in list(itertools.islice(table, size, None)):
-            del table[key]
+def _cached(cache: dict, key, make):
+    """``cache[key]``, stored from ``make()`` first if missing, evicting the
+    oldest entry once *cache* holds ``_CACHE_SIZE``.  When ``make`` raises,
+    nothing is stored."""
+    value = cache.get(key)
+    if value is None:
+        value = make()
+        if len(cache) >= _CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = value
+    return value
 
 
 def evaluate_instance(domain: DomainModel, problem: ProblemModel,
@@ -118,12 +114,14 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
 
     ``gt_plan_text`` supplies the ground truth; without it the instance is
     solved (built-in planner or ``planner.external_cmd``) and the plan is
-    kept in the per-process ``_GT_CACHE``.  Its key holds the domain and
-    problem models, compared by value, so equal models parsed from different
-    texts share one solve.  Whatever its source, the ground truth must be
-    valid (stage ``check-gt``).  A ``None`` plan text marks a failed generation and is
-    evaluated as the empty plan.  Any stage failure is wrapped in
-    :class:`InstanceError` naming the stage.
+    kept, per planner command, in the problem's ``_GT_CACHE`` entry.  That
+    entry also holds the table of resolved actions that every row of the
+    problem parses and searches through.  Its key is the domain and problem
+    models, compared by value, so equal models parsed from different texts
+    share one solve and one table.  Whatever its source, the ground truth
+    must be valid (stage ``check-gt``).  A ``None`` plan text marks a failed
+    generation and is evaluated as the empty plan.  Any stage failure is
+    wrapped in :class:`InstanceError` naming the stage.
 
     The ground truth and pi0 to pi4 each get their own simulation, even when
     two of them hold the same actions.  Each distinct action sequence among
@@ -143,44 +141,40 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         except PlanEvalError as exc:
             raise InstanceError(name, exc) from exc
 
-    cached = _RESOLVED_CACHE.get((domain, problem))
-    resolved = cached if cached is not None else {}
-    if gt_plan_text is not None:
-        gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem, resolved)
-    else:
-        # Keyed on exactly what a planner reads; the timeout only bounds the
-        # search, and failures are never cached.
-        cache_key = (domain, problem, config.external_planner)
-        gt_plan = _GT_CACHE.get(cache_key)
-        if gt_plan is None:
-            gt_plan = stage("solve-gt", solve_optimal, problem, domain,
-                            timeout=config.planner_timeout,
-                            external_cmd=config.external_planner)
-            _cache_put(_GT_CACHE, cache_key, gt_plan, _GT_CACHE_SIZE)
-    # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
-    sim_gt = simulate(gt_plan, problem)
-    if not sim_gt.valid:
-        raise InstanceError("check-gt", InvalidGroundTruth(
-            f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
+    gts, resolved = _cached(_GT_CACHE, (domain, problem), lambda: ({}, {}))
+    try:  # however the stages up to the pi1 search end, the table is cut back
+        if gt_plan_text is not None:
+            gt_plan = stage("parse-gt", parse_plan, gt_plan_text, domain, problem, resolved)
+        else:
+            # Keyed on what a planner reads; the timeout only bounds the search.
+            gt_plan = _cached(gts, config.external_planner, lambda: stage(
+                "solve-gt", solve_optimal, problem, domain, timeout=config.planner_timeout,
+                external_cmd=config.external_planner))
+        # Recovery completes pi4 with a ground-truth suffix, so the GT must be valid.
+        sim_gt = simulate(gt_plan, problem)
+        if not sim_gt.valid:
+            raise InstanceError("check-gt", InvalidGroundTruth(
+                f"ground-truth plan is invalid: {sim_gt.lea} of {len(gt_plan)} actions execute"))
 
-    pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, resolved)
-    sim0 = simulate(pi0, problem)
+        pi0 = stage("parse-plan", parse_plan, plan_text or "", domain, problem, resolved)
+        sim0 = simulate(pi0, problem)
 
-    pairing = stage("pairing", pair_actions, pi0, gt_plan, config.similarity)
-    np_aqm = non_positional_aqm(pi0, gt_plan, pairing.labels, config.similarity)
-    lcs0 = stage("lcs", lcs_analyze, pi0, gt_plan)
-    breakdown0 = stage("score", plan_score, pi0, gt_plan, pairing, lcs0, sim0.valid)
-    normalized0 = normalize_score(breakdown0, pi0, gt_plan)
+        pairing = stage("pairing", pair_actions, pi0, gt_plan, config.similarity)
+        np_aqm = non_positional_aqm(pi0, gt_plan, pairing.labels, config.similarity)
+        lcs0 = stage("lcs", lcs_analyze, pi0, gt_plan)
+        breakdown0 = stage("score", plan_score, pi0, gt_plan, pairing, lcs0, sim0.valid)
+        normalized0 = normalize_score(breakdown0, pi0, gt_plan)
 
-    try:
-        variant1 = find_best_variant(pi0, gt_plan, problem, domain, config, resolved=resolved)
-    except SearchBudgetExceeded as exc:
-        flags["transform_budget_exceeded"] = True
-        variant1 = exc.best
-    except PlanEvalError as exc:
-        raise InstanceError("transform", exc) from exc
+        try:
+            variant1 = find_best_variant(pi0, gt_plan, problem, domain, config, resolved=resolved)
+        except SearchBudgetExceeded as exc:
+            flags["transform_budget_exceeded"] = True
+            variant1 = exc.best
+        except PlanEvalError as exc:
+            raise InstanceError("transform", exc) from exc
     finally:
-        _keep_oldest(resolved, _RESOLVED_SIZE)
+        for key in list(itertools.islice(resolved, _CACHE_SIZE, None)):
+            del resolved[key]  # all but the oldest resolutions
     pi1 = variant1.plan
 
     pi2 = stage("subplan", best_subplan, pi0, lcs0, problem)
@@ -232,8 +226,6 @@ def evaluate_instance(domain: DomainModel, problem: ProblemModel,
         "penalized_score": float(variant1.penalized),
     })
     metrics["pi4"] = _plan_metrics(outcome.final, simulate(outcome.final, problem))
-    if cached is None:
-        _cache_put(_RESOLVED_CACHE, (domain, problem), resolved, _RESOLVED_CACHE_SIZE)
 
     return {
         "schema": SCHEMA_VERSION,
@@ -308,27 +300,26 @@ def _read(path: Path) -> str:
 
 
 # Per-process cache of parsed (domain, problem) models, keyed on the two file
-# texts; oldest entry evicted first.  The models are frozen and no stage
-# writes to them, so one entry serves every row that reads the same texts,
-# and one domain model every cached problem of that domain text.
+# texts.  The models are frozen and no stage writes to them, so one entry
+# serves every row that reads the same texts, and one domain model every
+# cached problem of that domain text.
 _PARSE_CACHE: dict[tuple[str, str], tuple[DomainModel, ProblemModel]] = {}
-_PARSE_CACHE_SIZE = 256
+
+
+def _parse_models(domain_text: str, problem_text: str) -> tuple[DomainModel, ProblemModel]:
+    domain = next((cached[0] for key, cached in _PARSE_CACHE.items()
+                   if key[0] == domain_text), None)
+    try:
+        if domain is None:
+            domain = parse_domain(domain_text)
+        return domain, parse_problem(problem_text, domain)
+    except PlanEvalError as exc:
+        raise InstanceError("load", exc) from exc
 
 
 def _evaluate_row(row: ManifestRow, config: PipelineConfig) -> dict:
     texts = (_read(row.domain_path), _read(row.problem_path))
-    models = _PARSE_CACHE.get(texts)
-    if models is None:
-        domain = next((cached[0] for key, cached in _PARSE_CACHE.items()
-                       if key[0] == texts[0]), None)
-        try:
-            if domain is None:
-                domain = parse_domain(texts[0])
-            models = (domain, parse_problem(texts[1], domain))
-        except PlanEvalError as exc:
-            raise InstanceError("load", exc) from exc
-        _cache_put(_PARSE_CACHE, texts, models, _PARSE_CACHE_SIZE)
-    domain, problem = models
+    domain, problem = _cached(_PARSE_CACHE, texts, lambda: _parse_models(*texts))
 
     plan_text: str | None = None
     if row.plan_path is not None and row.plan_path.is_file():

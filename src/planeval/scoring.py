@@ -148,8 +148,8 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
     occurs in the ground truth.  The substring bonus is at most twice the
     longest cyclic run of actions each of which can equal the ground-truth
     action after the one its predecessor can.  The bound is summed in
-    integers over one denominator, and the caps are computed at the first
-    call.
+    integers over one denominator, and the caps are computed when the
+    function is built.
 
     The bound never rises as the images are extended: an argument that gets
     an image, or whose unused ground-truth images run out, leaves ``j`` as
@@ -163,33 +163,26 @@ def score_ceiling(plan: Plan, gt: Plan, objs: list[str],
             (index, action.args))
     gt_objects = {arg for action in gt for arg in action.args}
     gt_images = gt_objects.intersection(objs)  # those a mapping can produce
-    # Scaled by one denominator at the first call: the base, the shared
-    # ceiling, the substring bonus and the cap per (name, arity, j).
-    scaled: list[int] = []
-    caps: dict[tuple[str, int, int], int] = {}
-
-    def scale() -> None:
-        gt_names = {action.name for action in gt}
-        fractions: dict[tuple[str, int, int], Fraction] = {}
-        for name, arity in {(action.name, len(action.args)) for action in plan}:
-            # Only a plan object outside the ground truth makes j < arity.
-            for j in range(arity + 1) if len(gt_images) < len(objs) else [arity]:
-                similarity = max(placeholder_similarity(name, arity, other, other_arity,
-                                                        j, provider)
-                                 for other, other_arity in gt_targets)
-                fractions[name, arity, j] = similarity + (PAIR_BONUS if name in gt_names
-                                                          else ZERO)
-        constants = [len(plan) - length_penalty(len(plan), len(gt)),
-                     SHARED_ACTION_CEILING, SUBSTRING_BONUS_PER_ACTION]
-        denominator = math.lcm(*(value.denominator
-                                 for value in [*constants, *fractions.values()]))
-        scaled.extend([*(int(value * denominator) for value in constants), denominator])
-        caps.update((key, int(value * denominator)) for key, value in fractions.items())
+    gt_names = {action.name for action in gt}
+    fractions: dict[tuple[str, int, int], Fraction] = {}
+    for name, arity in {(action.name, len(action.args)) for action in plan}:
+        # Only a plan object outside the ground truth makes j < arity.
+        for j in range(arity + 1) if len(gt_images) < len(objs) else [arity]:
+            similarity = max(placeholder_similarity(name, arity, other, other_arity,
+                                                    j, provider)
+                             for other, other_arity in gt_targets)
+            fractions[name, arity, j] = similarity + (PAIR_BONUS if name in gt_names
+                                                      else ZERO)
+    # Scaled by one denominator: the base, the shared ceiling, the substring
+    # bonus and the cap per (name, arity, j).
+    constants = [len(plan) - length_penalty(len(plan), len(gt)),
+                 SHARED_ACTION_CEILING, SUBSTRING_BONUS_PER_ACTION]
+    denominator = math.lcm(*(value.denominator
+                             for value in [*constants, *fractions.values()]))
+    base, shared, substring = (int(value * denominator) for value in constants)
+    caps = {key: int(value * denominator) for key, value in fractions.items()}
 
     def ceiling(images: tuple[str, ...]) -> Fraction:
-        if not scaled:
-            scale()
-        base, shared, substring, denominator = scaled
         image = dict(zip(objs, images))
         free = gt_images.difference(images)
         total = base

@@ -11,9 +11,10 @@ invalid variant is scored in full only when an upper bound on its score,
 which depends on the mapping alone, says it can still beat the best variant
 scored so far.  Mappings are built depth first, and one whose completions
 all lose is skipped unremapped.  The bound never rises as a mapping is
-extended, so the empty mapping's bound, computed at most once per search,
-answers most of these tests without the bound of the mapping at hand.  A
-valid plan's search ends at its first variant, the identity at shift 0.
+extended, so the empty mapping's bound answers most of these tests without
+the bound of the mapping at hand.  The bounds are built once, when the
+first variant, the identity at shift 0, proves invalid; a valid plan's
+search ends at that variant and builds none.
 """
 
 from __future__ import annotations
@@ -202,7 +203,9 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
 
     A valid plan is its own pi1: the identity at shift 0 has penalty 0 and
     no change, and every other (mapping, shift) makes at least one change.
-    So the search ends at that first variant, and never exceeds the budget.
+    So the search ends at that first variant, never exceeds the budget and
+    builds no bound: the score ceiling, its bound for the empty mapping and
+    the dead-prefix test are built when that variant proves invalid.
 
     Mappings are built depth first, objects in order of first appearance,
     each trying its own image first, so the identity comes first.  Valid
@@ -221,47 +224,37 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     Once a winner exists and ``config.budget`` nodes have been counted, the
     search raises :class:`SearchBudgetExceeded` carrying the exact winner
     among the variants visited; the identity at shift 0 always is.  Raises
-    :class:`ConfigError` when ``c_shift`` or ``c_map`` is negative.
+    :class:`ConfigError` when ``c_shift``, ``c_map`` or ``budget`` is
+    negative.
 
     *resolved* is :func:`remap_params`' table for *domain* and *problem*;
     the search reads and fills it.
     """
     if config is None:
         config = PipelineConfig()
-    if config.c_shift < 0 or config.c_map < 0:
-        raise ConfigError(f"transform costs must be >= 0, got c_shift={config.c_shift} "
-                          f"and c_map={config.c_map}")
+    if config.c_shift < 0 or config.c_map < 0 or config.budget < 0:
+        raise ConfigError(f"transform costs and budget must be >= 0, got c_shift="
+                          f"{config.c_shift}, c_map={config.c_map} and budget={config.budget}")
     if resolved is None:
         resolved = {}
     objs = list(dict.fromkeys(arg for action in plan for arg in action.args))
     length = len(plan)
     shifts = list(range(length)) if length else [0]
     sim = make_similarity_cache(config.similarity)
-    ceiling_of = score_ceiling(plan, gt, objs, config.similarity)
-    # The ceiling never rises as a mapping is extended, so the empty
-    # mapping's, computed at most once, bounds every node: a test it already
-    # answers needs no ceiling of the node's own.
-    root: Fraction | None = None
-
-    def root_ceiling() -> Fraction:
-        nonlocal root
-        if root is None:
-            root = ceiling_of(())
-        return root
-    dead = _no_valid_completion(plan, domain, problem, objs)
-    # Costs in units of 1 / scale.  Penalties, c_shift * circular shift
-    # distance + c_map * moved objects, are indexed by the number of moved
-    # objects, then the shift; a row is built when a mapping first moves
-    # that many objects.
+    # Costs in units of 1 / scale: a penalty is c_shift * circular shift
+    # distance + c_map * moved objects.
     c_shift, c_map = Fraction(config.c_shift), Fraction(config.c_map)
     scale = math.lcm(c_shift.denominator, c_map.denominator)
     c_shift, c_map = int(c_shift * scale), int(c_map * scale)
     magnitudes = [min(shift, length - shift) for shift in shifts]
-    penalties: dict[int, list[int]] = {}
 
     best: VariantScore | None = None  # best scored invalid variant
     best_rank: tuple = ()  # (changes, shift, mapping) of best
-    # Once best is known, a cost above this loses under the root ceiling.
+    # Built when the first variant, the identity at shift 0, becomes best:
+    # the score ceiling, its bound for the empty mapping and the dead-prefix
+    # test.  The ceiling never rises as a mapping is extended, so the empty
+    # mapping's, root, bounds every node: a cost above root_limit loses.
+    ceiling_of = dead = None
     root_limit = 0
     valid: tuple | None = None  # ((penalty, changes, shift, mapping), plan)
     nodes = 0
@@ -302,17 +295,13 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         mapped = remap_params(plan, dict(zip(objs, images)), domain, problem, resolved)
         pairs = tuple(sorted(zip(objs, images)))
         moved = sum(src != dst for src, dst in pairs)
-        costs = penalties.get(moved)
-        if costs is None:
-            costs = penalties[moved] = [c_shift * magnitude + c_map * moved
-                                        for magnitude in magnitudes]
         # An unresolvable action never executes, so no shift can be valid.
         executable = all(action.resolvable for action in mapped)
         # An invalid variant can win only if (penalty, rank) stays below this.
         limit = None
         for shift in shifts:
             count_node()
-            penalty = costs[shift]
+            penalty = c_shift * magnitudes[shift] + c_map * moved
             rank = (magnitudes[shift] + moved, shift, pairs)
             if valid is not None and (penalty, *rank) >= valid[0]:
                 continue
@@ -335,8 +324,12 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
             candidate = score_variant(circular_shift(mapped, shift),
                                       Transformation(shift, pairs),
                                       Fraction(penalty, scale), gt, problem, sim)
+            if best is None:
+                ceiling_of = score_ceiling(plan, gt, objs, config.similarity)
+                root = ceiling_of(())
+                dead = _no_valid_completion(plan, domain, problem, objs)
             if (best is None or candidate.penalized > best.penalized
                     or (candidate.penalized == best.penalized and rank < best_rank)):
                 best, best_rank, limit = candidate, rank, None
-                root_limit = math.floor((root_ceiling() - best.penalized) * scale)
+                root_limit = math.floor((root - best.penalized) * scale)
     return winner()

@@ -19,9 +19,10 @@ from planeval.errors import (
     InstanceError,
     ManifestError,
     PlanEvalError,
+    PlanningTimeout,
     ZeroLengthGroundTruth,
 )
-from planeval.pddl import parse_domain, parse_problem, problem_to_pddl
+from planeval.pddl import parse_domain, parse_problem, problem_to_pddl, resolve_action
 from planeval.pipeline import aggregate, read_jsonl, write_report_csv
 from planeval.similarity import CharLcsSimilarity, SynonymTable
 
@@ -508,69 +509,115 @@ def test_gt_cache_is_shared_by_evaluate_instance(monkeypatch, bw_domain, bw_prob
 
 
 def test_gt_cache_outlives_parse_cache_eviction(tmp_path, monkeypatch):
+    # Two texts of equal models: the second row's parse evicts the first's,
+    # yet it finds the first row's ground truth under the equal models.
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
-    monkeypatch.setattr(pipeline, "_PARSE_CACHE_SIZE", 1)
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_CACHE_SIZE", 1)
     calls = counted(monkeypatch, "solve_optimal")
-    (tmp_path / "b.pddl").write_text(BW_PROBLEM_PATH.read_text().replace(
-        "(:goal (and (on a c) (on c b)))", "(:goal (on c b))"))
+    commented = BW_PROBLEM_PATH.read_text() + "; the same problem\n"
+    (tmp_path / "commented.pddl").write_text(commented)
     result = evaluate_batch(write_manifest(tmp_path, [
         manifest_row("a", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
-        manifest_row("b", BW_DOMAIN_PATH, "b.pddl"),
-        manifest_row("a-again", BW_DOMAIN_PATH, BW_PROBLEM_PATH),
+        manifest_row("a-commented", BW_DOMAIN_PATH, "commented.pddl"),
     ]))
-    assert [r["gt_length"] for r in result.records] == [6, 4, 6]
-    assert len(calls) == 2
+    assert [r["gt_length"] for r in result.records] == [6, 6]
+    assert [key[1] for key in pipeline._PARSE_CACHE] == [commented]
+    assert len(calls) == 1
 
 
 def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
+    # One entry per problem holds its ground truth and its resolution table,
+    # so both go when the entry is evicted.
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
-    monkeypatch.setattr(pipeline, "_GT_CACHE_SIZE", 2)
-    problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
-                for i in range(3)]
-    for problem in problems:
-        evaluate_instance(bw_domain, problem, None)
-    assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
-
-
-def test_resolution_tables_evict_oldest(monkeypatch, bw_domain):
-    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
-    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE_SIZE", 2)
+    monkeypatch.setattr(pipeline, "_CACHE_SIZE", 2)
     problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
                 for i in range(3)]
     for problem in problems:
         evaluate_instance(bw_domain, problem, "(unstack b a)\n")
-    assert [key[1] for key in pipeline._RESOLVED_CACHE] == problems[1:]
+    assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
+    for gts, resolved in pipeline._GT_CACHE.values():
+        assert list(gts) == [None] and resolved
 
 
-def test_failed_row_stores_no_resolution_table(monkeypatch, bw_domain, bw_problem):
-    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
-    with pytest.raises(InstanceError):
-        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
-                          gt_plan_text="(pick-up a)\n")
-    assert pipeline._RESOLVED_CACHE == {}
-    evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
-                      gt_plan_text=INSTANCE_10_GT)
-    ((models, resolved),) = pipeline._RESOLVED_CACHE.items()
+def test_failed_solve_stores_no_ground_truth(monkeypatch, bw_domain, bw_problem):
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    solve = pipeline.solve_optimal
+    calls: list = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PlanningTimeout("planner timed out")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_optimal", failing_once)
+    with pytest.raises(InstanceError) as excinfo:
+        evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)
+    assert excinfo.value.stage == "solve-gt"
+    ((gts, _),) = pipeline._GT_CACHE.values()
+    assert gts == {}
+    # The next row of the problem solves again, and keeps what it solved.
+    assert evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE)["gt_length"] == 6
+    assert len(calls) == 2 and len(gts[None]) == 6
+
+
+def test_failed_row_table_holds_only_correct_resolutions(monkeypatch, bw_domain,
+                                                         bw_problem):
+    # A resolution does not depend on the row: one that fails after its pi1
+    # search keeps what it resolved, and each entry equals a fresh resolution.
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    fresh = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                              gt_plan_text=INSTANCE_10_GT)
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+
+    def failing(*args):
+        raise PlanEvalError("sub-plan failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "best_subplan", failing)
+        with pytest.raises(InstanceError) as excinfo:
+            evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                              gt_plan_text=INSTANCE_10_GT)
+    assert excinfo.value.stage == "subplan"
+    ((models, (_, resolved)),) = pipeline._GT_CACHE.items()
     assert models == (bw_domain, bw_problem)
-    assert all(action.key == key for key, action in resolved.items())
+    assert len(resolved) > 10
+    for key, action in resolved.items():
+        assert action.key == key and action == resolve_action(*key, bw_domain, bw_problem)
+    assert evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                             gt_plan_text=INSTANCE_10_GT) == fresh
+
+
+def test_row_failing_before_its_search_cuts_the_table(monkeypatch, bw_domain):
+    # The goal holds initially, so the empty GT is valid and the score stage
+    # fails after pi0's five actions were resolved.
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_CACHE_SIZE", 3)
+    problem = make_bw_problem(bw_domain, [["a", "b"]], [["a", "b"]])
+    with pytest.raises(InstanceError) as excinfo:
+        evaluate_instance(bw_domain, problem, "".join(f"(foo x{i})\n" for i in range(5)),
+                          gt_plan_text="")
+    assert excinfo.value.stage == "score"
+    ((_, resolved),) = pipeline._GT_CACHE.values()
+    assert list(resolved) == [("foo", (f"x{i}",)) for i in range(3)]
 
 
 def test_resolution_table_keeps_its_oldest_actions(monkeypatch, bw_domain, bw_problem):
     # Once a row's search is done, its problem's table is cut back to the
-    # _RESOLVED_SIZE actions resolved first: here the ground truth's.
-    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
+    # _CACHE_SIZE actions resolved first: here the ground truth's.
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
     unbounded = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                                   gt_plan_text=INSTANCE_10_GT)
-    ((_, resolved),) = pipeline._RESOLVED_CACHE.items()
+    ((_, (_, resolved)),) = pipeline._GT_CACHE.items()
     assert len(resolved) > 10
-    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
-    monkeypatch.setattr(pipeline, "_RESOLVED_SIZE", 3)
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_CACHE_SIZE", 3)
     for _ in range(2):
         record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
                                    gt_plan_text=INSTANCE_10_GT)
         assert record == unbounded
-        ((_, resolved),) = pipeline._RESOLVED_CACHE.items()
+        ((_, (_, resolved)),) = pipeline._GT_CACHE.items()
         gt = planeval.parse_plan(INSTANCE_10_GT, bw_domain, bw_problem)
         assert list(resolved) == list(dict.fromkeys(gt.keys()))[:3]
 
@@ -647,7 +694,7 @@ def test_batch_grounds_each_action_once_per_problem(tmp_path, monkeypatch):
 
     from planeval import pddl
 
-    for cache in ("_PARSE_CACHE", "_GT_CACHE", "_RESOLVED_CACHE"):
+    for cache in ("_PARSE_CACHE", "_GT_CACHE"):
         monkeypatch.setattr(pipeline, cache, {})
     grounded: list = []  # resolve_action's calls; the planner holds its own reference
     ground = pddl.ground
@@ -681,7 +728,7 @@ def test_unparsable_text_is_never_cached(tmp_path, monkeypatch, broken):
 
 def test_parse_cache_evicts_oldest(tmp_path, monkeypatch, bw_domain):
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
-    monkeypatch.setattr(pipeline, "_PARSE_CACHE_SIZE", 2)
+    monkeypatch.setattr(pipeline, "_CACHE_SIZE", 2)
     texts = [problem_to_pddl(make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]],
                                              name=f"bw-{i}"), bw_domain)
              for i in range(3)]
@@ -708,7 +755,6 @@ def test_warm_caches_give_byte_identical_records(tmp_path, monkeypatch, jobs):
     manifest = shared_files_manifest(tmp_path)
     monkeypatch.setattr(pipeline, "_PARSE_CACHE", {})
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})
-    monkeypatch.setattr(pipeline, "_RESOLVED_CACHE", {})
     evaluate_batch(manifest, jobs=jobs, out_jsonl=tmp_path / "cold.jsonl")
     # Fill this process's caches; forked batch workers start with a copy.
     evaluate_batch(manifest)
@@ -902,6 +948,17 @@ def test_config_rejects_negative_costs(tmp_path, key):
     assert getattr(load_config(path), key.removeprefix("transform.")) == 0
 
 
+def test_config_rejects_negative_budget(tmp_path):
+    # A negative budget would silently give every row the budget-0 record.
+    path = tmp_path / "bad.cfg"
+    path.write_text("transform.c_map = 2\ntransform.budget = -3\n")
+    with pytest.raises(ConfigError,
+                       match="config line 2: 'transform.budget' must be >= 0, got -3"):
+        load_config(path)
+    path.write_text("transform.budget = 0\n")
+    assert load_config(path).budget == 0
+
+
 @pytest.mark.parametrize("floor", ["1.5", "-0.1"])
 def test_config_rejects_similarity_floor_outside_unit_interval(tmp_path, floor):
     # A floor above every similarity would silently turn char_lcs into exact.
@@ -915,8 +972,8 @@ def test_config_rejects_similarity_floor_outside_unit_interval(tmp_path, floor):
         assert load_config(path).similarity.floor == Fraction(edge)
 
 
-@pytest.mark.parametrize("costs", [{"c_shift": Fraction(-1)}, {"c_map": Fraction(-1, 2)}],
-                         ids=["c_shift", "c_map"])
+@pytest.mark.parametrize("costs", [{"c_shift": Fraction(-1)}, {"c_map": Fraction(-1, 2)},
+                                   {"budget": -1}], ids=["c_shift", "c_map", "budget"])
 def test_negative_cost_in_code_is_a_transform_error_record(tmp_path, bw_domain, bw_problem,
                                                            costs):
     config = PipelineConfig(**costs)

@@ -617,6 +617,23 @@ def test_valid_plan_is_its_own_variant_without_a_search(monkeypatch, gt_plan, bw
     assert best.plan.keys() == gt_plan.keys()
 
 
+def test_bounds_are_built_only_when_the_identity_is_invalid(monkeypatch, gt_plan, pi0_plan,
+                                                          bw_problem, bw_domain):
+    # The score ceiling and the dead-prefix test are built once, when the
+    # identity at shift 0 proves invalid; a valid plan's search builds neither.
+    built = {name: [] for name in ("score_ceiling", "_no_valid_completion")}
+    for name, calls in built.items():
+        original = getattr(transform, name)
+        monkeypatch.setattr(transform, name, lambda *args, original=original, calls=calls:
+                            calls.append(args) or original(*args))
+    find_best_variant(gt_plan, gt_plan, bw_problem, bw_domain)
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "score_ceiling": 0, "_no_valid_completion": 0}
+    find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "score_ceiling": 1, "_no_valid_completion": 1}
+
+
 @pytest.mark.parametrize("c_shift, c_map", [(Fraction(1, 3), Fraction(2, 5)),
                                             (Fraction(0), Fraction(1, 2))],
                          ids=["third-two-fifths", "zero-half"])

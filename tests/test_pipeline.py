@@ -527,6 +527,16 @@ def test_gt_cache_outlives_parse_cache_eviction(tmp_path, monkeypatch):
 
 
 def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
+    monkeypatch.setattr(pipeline, "_GT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_CACHE_SIZE", 2)
+    problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
+                for i in range(3)]
+    for problem in problems:
+        evaluate_instance(bw_domain, problem, None)
+    assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
+
+
+def test_resolution_tables_evict_oldest(monkeypatch, bw_domain):
     # One entry per problem holds its ground truth and its resolution table,
     # so both go when the entry is evicted.
     monkeypatch.setattr(pipeline, "_GT_CACHE", {})

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
+import planeval
 from planeval import parse_domain, parse_plan, parse_problem
 from planeval.pddl import ProblemModel
 
@@ -11,6 +13,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 INSTANCE_10_CANDIDATE = (FIXTURES / "blocksworld" / "instance-10-candidate.plan").read_text()
 INSTANCE_10_GT = (FIXTURES / "blocksworld" / "instance-10-gt.plan").read_text()
+
+
+def hash_seed_env(seed: int) -> dict[str, str]:
+    """Environment for a child interpreter that imports this ``planeval``
+    with ``PYTHONHASHSEED`` set to *seed*."""
+    src = str(Path(planeval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

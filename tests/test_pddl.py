@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +20,7 @@ from planeval.errors import (
 from planeval.pddl import (GroundAction, Plan, domain_to_pddl, plan_to_text, problem_to_pddl,
                            resolve_action)
 
-from conftest import FIXTURES, INSTANCE_10_CANDIDATE
+from conftest import FIXTURES, INSTANCE_10_CANDIDATE, hash_seed_env
 
 
 def test_blocksworld_domain_schemas(bw_domain):
@@ -96,6 +98,194 @@ def test_malformed_define_is_a_syntax_error(bw_domain, text):
             parse_problem(text, bw_domain)
         else:
             parse_domain(text)
+
+
+def _domain_text(sections: str) -> str:
+    return f"(define (domain d) (:predicates (p ?x) (q ?x)) {sections})"
+
+
+def _action_text(body: str) -> str:
+    return _domain_text(f"(:action a {body})")
+
+
+def _problem_text(sections: str) -> str:
+    return ("(define (problem x) (:domain logistics) "
+            f"(:objects t1 - truck c1 - city l1 - location) {sections})")
+
+
+# One malformed text per rejection in the domain and problem readers, with
+# the exact error each must raise.  Problem texts are read against Logistics.
+REJECTIONS = {
+    "read-unclosed": ("domain", "(define (domain d)", PddlSyntaxError,
+                      "unexpected end of input, expected ')' (line 1, column 1)"),
+    "read-nothing": ("domain", "", PddlSyntaxError,
+                     "unexpected end of input, expected an expression"),
+    "read-stray-close": ("domain", ")", PddlSyntaxError, "unexpected ')' (line 1, column 1)"),
+    "trailing": ("domain", "(define (domain d)) x", PddlSyntaxError,
+                 "trailing content 'x' after top-level form (line 1, column 21)"),
+    "define-not-a-list": ("domain", "x", PddlSyntaxError,
+                          "expected (define ...) in domain file"),
+    "define-misspelt": ("domain", "(defin (domain d))", PddlSyntaxError,
+                        "expected 'define' in domain file, got 'defin' (line 1, column 2)"),
+    "define-empty": ("domain", "(define)", PddlSyntaxError, "empty define form in domain file"),
+    "header-kind": ("domain", "(define (problem d))", PddlSyntaxError,
+                    "expected 'domain' in domain header, got 'problem' (line 1, column 10)"),
+    "header-no-name": ("domain", "(define (domain))", PddlSyntaxError,
+                       "missing name in (domain ...) header (line 1, column 10)"),
+    "header-name-list": ("domain", "(define (domain (d)))", PddlSyntaxError,
+                         "expected a name in domain name"),
+    "section-not-a-list": ("domain", _domain_text("x"), PddlSyntaxError,
+                           "expected a (:keyword ...) domain section"),
+    "requirement": ("domain", _domain_text("(:requirements :strips :adl)"), UnsupportedFeature,
+                    "unsupported PDDL construct ':adl': requirement"),
+    "types-dangling-dash": ("domain", _domain_text("(:types - t)"), PddlSyntaxError,
+                            "dangling '-' in :types"),
+    "types-missing-type": ("domain", _domain_text("(:types t -)"), PddlSyntaxError,
+                           "missing type name after '-' in :types"),
+    "predicate-not-a-list": ("domain", _domain_text("(:predicates r)"), PddlSyntaxError,
+                             "expected (name ?args...) in :predicates"),
+    "predicate-duplicate": ("domain", _domain_text("(:predicates (p ?y))"), PddlSyntaxError,
+                            "duplicate predicate 'p'"),
+    "section-unsupported": ("domain", _domain_text("(:constants c)"), UnsupportedFeature,
+                            "unsupported PDDL construct ':constants': domain section"),
+    "types-cyclic": ("domain", _domain_text("(:types t - u u - t)"), PddlSyntaxError,
+                     "cyclic type hierarchy through 'u'"),
+    "predicate-type-undeclared": ("domain", _domain_text("(:predicates (r ?x - t))"),
+                                  UndeclaredSymbol, "undeclared type 't'"),
+    "action-duplicate": ("domain", _domain_text("(:action a) (:action a)"), PddlSyntaxError,
+                         "duplicate action name 'a'"),
+    "parameter-type-undeclared": ("domain", _action_text(":parameters (?x - t)"),
+                                  UndeclaredSymbol, "undeclared type 't'"),
+    "action-no-name": ("domain", _domain_text("(:action)"), PddlSyntaxError,
+                       "missing action name in :action"),
+    "action-key-unsupported": ("domain", _action_text(":vars (?x)"), UnsupportedFeature,
+                               "unsupported PDDL construct ':vars': in action a"),
+    "action-key-no-value": ("domain", _action_text(":parameters (?x) :effect"),
+                            PddlSyntaxError, "missing value for :effect in action a"),
+    "parameters-not-a-list": ("domain", _action_text(":parameters ?x"), PddlSyntaxError,
+                              "expected a parameter list in action a"),
+    "parameter-no-question-mark": ("domain", _action_text(":parameters (x)"), PddlSyntaxError,
+                                   "parameter 'x' of a must start with '?'"),
+    "parameter-duplicate": ("domain", _action_text(":parameters (?x ?x)"), PddlSyntaxError,
+                            "duplicate parameter in action a"),
+    "conjunction-not-a-list": ("domain", _action_text(":parameters (?x) :precondition p"),
+                               PddlSyntaxError,
+                               "expected an atom or (and ...) in a precondition"),
+    "atom-not-a-list": ("domain", _action_text(":parameters (?x) :precondition (and (p ?x) q)"),
+                        PddlSyntaxError, "expected an atom in a precondition"),
+    "atom-rejected-head": ("domain", _action_text(":parameters (?x) :precondition (not (p ?x))"),
+                           UnsupportedFeature,
+                           "unsupported PDDL construct 'not': in a precondition"),
+    "atom-predicate-undeclared": ("domain", _action_text(":parameters (?x) :precondition (r ?x)"),
+                                  UndeclaredSymbol, "undeclared predicate 'r'"),
+    "atom-arity": ("domain", _action_text(":parameters (?x) :precondition (p ?x ?x)"),
+                   PddlSyntaxError,
+                   "predicate 'p' used with 2 terms in a precondition, declared with 1"),
+    "atom-variable-undeclared": ("domain", _action_text(":parameters (?x) :effect (p ?y)"),
+                                 UndeclaredSymbol, "undeclared variable '?y'"),
+    "effect-not-a-list": ("domain", _action_text(":parameters (?x) :effect (and (p ?x) ())"),
+                          PddlSyntaxError, "expected an effect atom in action a"),
+    "effect-not-two-atoms": ("domain",
+                             _action_text(":parameters (?x) :effect (not (p ?x) (q ?x))"),
+                             PddlSyntaxError, "(not ...) takes one atom in action a"),
+    "effect-rejected-head": ("domain",
+                             _action_text(":parameters (?x) :effect (when (p ?x) (q ?x))"),
+                             UnsupportedFeature,
+                             "unsupported PDDL construct 'when': in effect of action a"),
+    "effect-nested-and": ("domain", _action_text(":parameters (?x) :effect (and (and (p ?x)))"),
+                          UnsupportedFeature,
+                          "unsupported PDDL construct 'and': in effect of action a"),
+    "effect-overlap": ("domain",
+                       _action_text(":parameters (?x) :effect (and (p ?x) (not (p ?x)))"),
+                       PddlSyntaxError, "action a adds and deletes the same atom: (p ?x)"),
+    "problem-define-not-a-list": ("problem", "x", PddlSyntaxError,
+                                  "expected (define ...) in problem file"),
+    "problem-define-misspelt": ("problem", "(defin (problem x))", PddlSyntaxError,
+                                "expected 'define' in problem file, got 'defin' "
+                                "(line 1, column 2)"),
+    "problem-define-empty": ("problem", "(define)", PddlSyntaxError,
+                             "empty define form in problem file"),
+    "problem-header-kind": ("problem", "(define (domain x))", PddlSyntaxError,
+                            "expected 'problem' in problem header, got 'domain' "
+                            "(line 1, column 10)"),
+    "problem-header-no-name": ("problem", "(define (problem))", PddlSyntaxError,
+                               "missing name in (problem ...) header (line 1, column 10)"),
+    "problem-header-name-list": ("problem", "(define (problem (x)))", PddlSyntaxError,
+                                 "expected a name in problem name"),
+    "problem-section-not-a-list": ("problem", _problem_text("x"), PddlSyntaxError,
+                                   "expected a (:keyword ...) problem section"),
+    "object-type-undeclared": ("problem", _problem_text("(:objects o - boat)"),
+                               UndeclaredSymbol, "undeclared type 'boat'"),
+    "object-two-types": ("problem", _problem_text("(:objects t1 - package)"), PddlSyntaxError,
+                         "object 't1' declared as both 'truck' and 'package'"),
+    "init-object-undeclared": ("problem", _problem_text("(:init (at p1 l1))"),
+                               UndeclaredSymbol, "undeclared object 'p1'"),
+    "init-type-mismatch": ("problem", _problem_text("(:init (in-city t1 c1))"), TypeMismatch,
+                           "object 't1' of type 'truck' used as 'place' in (in-city t1 c1)"),
+    "goal-two-expressions": ("problem", _problem_text("(:goal (at t1 l1) (at t1 l1))"),
+                             PddlSyntaxError, ":goal takes a single expression"),
+    "goal-type-mismatch": ("problem", _problem_text("(:goal (at c1 l1))"), TypeMismatch,
+                           "object 'c1' of type 'city' used as 'physobj' in (at c1 l1)"),
+    "problem-section-unsupported": ("problem", _problem_text("(:metric minimize (total-time))"),
+                                    UnsupportedFeature,
+                                    "unsupported PDDL construct ':metric': problem section"),
+    "problem-domain-name": ("problem", _problem_text("(:domain blocksworld-4ops)"),
+                            PddlSyntaxError,
+                            "problem references domain 'blocksworld-4ops', "
+                            "expected 'logistics'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_each_rejection_names_its_fault(case, logistics_domain):
+    kind, text, error, message = REJECTIONS[case]
+    with pytest.raises(error) as excinfo:
+        if kind == "domain":
+            parse_domain(text)
+        else:
+            parse_problem(text, logistics_domain)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+# Texts with two clashing atoms, read in a child interpreter, and the error
+# naming the first clash in file order, whatever the interpreter's hash seed.
+FIRST_CLASHES = {
+    "init-types": (
+        "problem",
+        "(define (problem x) (:domain logistics) (:objects c1 - city l1 l2 - location)"
+        " (:init (in-city c1 l1) (at c1 l2)) (:goal (at c1 l1)))",
+        "TypeMismatch: object 'c1' of type 'city' used as 'place' in (in-city c1 l1)"),
+    "effect-overlap": (
+        "domain",
+        "(define (domain d) (:predicates (p ?x) (q ?x)) (:action a :parameters (?x)"
+        " :effect (and (p ?x) (q ?x) (not (p ?x)) (not (q ?x)))))",
+        "PddlSyntaxError: action a adds and deletes the same atom: (p ?x)"),
+}
+_READ_IN_CHILD = """
+import sys
+from pathlib import Path
+from planeval import parse_domain, parse_problem
+kind, text, fixtures = sys.argv[1:]
+try:
+    if kind == "domain":
+        parse_domain(text)
+    else:
+        logistics = Path(fixtures) / "logistics" / "domain.pddl"
+        parse_problem(text, parse_domain(logistics.read_text()))
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_CLASHES))
+def test_first_clash_in_file_order_is_reported_under_any_hash_seed(case):
+    kind, text, message = FIRST_CLASHES[case]
+    outputs = [subprocess.run([sys.executable, "-c", _READ_IN_CHILD, kind, text, str(FIXTURES)],
+                              env=hash_seed_env(seed), capture_output=True, text=True,
+                              check=True).stdout
+               for seed in (1, 2)]
+    assert outputs == [message + "\n"] * 2
 
 
 def test_undeclared_predicate_in_schema():

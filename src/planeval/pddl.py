@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -99,13 +99,6 @@ class DomainModel:
         for schema in self.schemas:
             if schema.name == lowered:
                 return schema
-        return None
-
-    def predicate(self, name: str) -> Predicate | None:
-        lowered = name.lower()
-        for pred in self.predicates:
-            if pred.name == lowered:
-                return pred
         return None
 
     def is_subtype(self, type_name: str, ancestor: str) -> bool:
@@ -273,13 +266,30 @@ def _head(form, expected: str, context: str) -> list:
     return form[1:]
 
 
-def _header_name(form, keyword: str) -> str:
-    """The name in a ``(domain NAME)`` or ``(problem NAME)`` header."""
-    rest = _head(form, keyword, f"{keyword} header")
-    if not rest:
-        raise PddlSyntaxError(f"missing name in ({keyword} ...) header",
-                              form[0].line, form[0].column)
-    return _symbol(rest[0], f"{keyword} name")
+def _define(text: str, kind: str) -> tuple[str, Iterator[tuple[str, list]]]:
+    """Read ``(define (<kind> NAME) (:keyword ...) ...)``.
+
+    Returns NAME and an iterator over each section's ``(keyword, rest)``.  The
+    iterator checks a section's shape only when it reaches it, so the caller
+    meets the faults of a file in file order.
+    """
+    reader = _Reader(text)
+    body = _head(reader.read(), "define", f"{kind} file")
+    reader.expect_done()
+    if not body:
+        raise PddlSyntaxError(f"empty define form in {kind} file")
+    header = _head(body[0], kind, f"{kind} header")
+    if not header:
+        raise PddlSyntaxError(f"missing name in ({kind} ...) header",
+                              body[0][0].line, body[0][0].column)
+
+    def sections() -> Iterator[tuple[str, list]]:
+        for form in body[1:]:
+            if not isinstance(form, list) or not form or not isinstance(form[0], _Token):
+                raise PddlSyntaxError(f"expected a (:keyword ...) {kind} section")
+            yield form[0].value.lower(), form[1:]
+
+    return _symbol(header[0], f"{kind} name"), sections()
 
 
 def _symbol(item, context: str) -> str:
@@ -316,7 +326,7 @@ def _typed_names(items: Sequence, context: str) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_atom_over(form, allowed_terms: set[str], domain_predicates: dict[str, int],
+def _parse_atom_over(form, allowed_terms: Container[str], predicates: Mapping[str, Predicate],
                      context: str) -> Atom:
     if not isinstance(form, list) or not form:
         raise PddlSyntaxError(f"expected an atom in {context}")
@@ -324,12 +334,12 @@ def _parse_atom_over(form, allowed_terms: set[str], domain_predicates: dict[str,
     if name in _REJECTED_HEADS:
         raise UnsupportedFeature(name, f"in {context}")
     terms = [_symbol(t, context) for t in form[1:]]
-    if name not in domain_predicates:
+    if name not in predicates:
         raise UndeclaredSymbol("predicate", name)
-    if len(terms) != domain_predicates[name]:
+    if len(terms) != predicates[name].arity:
         raise PddlSyntaxError(
             f"predicate '{name}' used with {len(terms)} terms in {context}, "
-            f"declared with {domain_predicates[name]}"
+            f"declared with {predicates[name].arity}"
         )
     for term in terms:
         if term not in allowed_terms:
@@ -349,22 +359,12 @@ def _flatten_conjunction(form, context: str) -> list:
 
 def parse_domain(text: str) -> DomainModel:
     """Parse a ``(define (domain ...))`` form restricted to STRIPS + typing."""
-    reader = _Reader(text)
-    body = _head(reader.read(), "define", "domain file")
-    reader.expect_done()
-    if not body:
-        raise PddlSyntaxError("empty define form in domain file")
-    name = _header_name(body[0], "domain")
-
+    name, sections = _define(text, "domain")
     types: dict[str, str | None] = {ROOT_TYPE: None}
-    predicates: list[Predicate] = []
-    schemas: list[ActionSchema] = []
+    predicates: dict[str, Predicate] = {}
+    schemas: dict[str, ActionSchema] = {}
 
-    for section in body[1:]:
-        if not isinstance(section, list) or not section or not isinstance(section[0], _Token):
-            raise PddlSyntaxError("expected a (:keyword ...) domain section")
-        keyword = section[0].value.lower()
-        rest = section[1:]
+    for keyword, rest in sections:
         if keyword == ":requirements":
             for req in rest:
                 req_name = _symbol(req, ":requirements")
@@ -383,15 +383,20 @@ def parse_domain(text: str) -> DomainModel:
                 params = tuple(
                     Parameter(n, t) for n, t in _typed_names(pred_form[1:], pred_name)
                 )
-                if any(p.name == pred_name for p in predicates):
+                if pred_name in predicates:
                     raise PddlSyntaxError(f"duplicate predicate '{pred_name}'")
-                predicates.append(Predicate(pred_name, params))
+                predicates[pred_name] = Predicate(pred_name, params)
         elif keyword == ":action":
-            schemas.append(_parse_action(rest, predicates))
+            schema = _parse_action(rest, predicates)
+            if schema.name in schemas:
+                raise PddlSyntaxError(f"duplicate action name '{schema.name}'")
+            schemas[schema.name] = schema
         else:
             raise UnsupportedFeature(keyword, "domain section")
 
-    # Reject a cyclic type hierarchy; subtype checks walk parents to the root.
+    # Checks that need every ``:types`` section, which may follow the ones
+    # that use its types: no cycle among the types (subtype checks walk
+    # parents to the root), and a declared type for each parameter.
     for type_name in types:
         seen: set[str] = set()
         current: str | None = type_name
@@ -400,26 +405,15 @@ def parse_domain(text: str) -> DomainModel:
                 raise PddlSyntaxError(f"cyclic type hierarchy through '{current}'")
             seen.add(current)
             current = types.get(current)
-
-    # Validate types referenced by predicates and schema parameters; every
-    # schema atom was checked against the declared predicates when parsed.
-    for pred in predicates:
-        for param in pred.params:
-            if param.type not in types:
-                raise UndeclaredSymbol("type", param.type)
-    seen_schema_names: set[str] = set()
-    for schema in schemas:
-        if schema.name in seen_schema_names:
-            raise PddlSyntaxError(f"duplicate action name '{schema.name}'")
-        seen_schema_names.add(schema.name)
-        for param in schema.params:
+    for owner in (*predicates.values(), *schemas.values()):
+        for param in owner.params:
             if param.type not in types:
                 raise UndeclaredSymbol("type", param.type)
 
-    return DomainModel(name, types, tuple(predicates), tuple(schemas))
+    return DomainModel(name, types, tuple(predicates.values()), tuple(schemas.values()))
 
 
-def _parse_action(rest: list, predicates: list[Predicate]) -> ActionSchema:
+def _parse_action(rest: list, predicates: Mapping[str, Predicate]) -> ActionSchema:
     if not rest:
         raise PddlSyntaxError("missing action name in :action")
     name = _symbol(rest[0], ":action")
@@ -441,16 +435,14 @@ def _parse_action(rest: list, predicates: list[Predicate]) -> ActionSchema:
     for param in params:
         if not param.name.startswith("?"):
             raise PddlSyntaxError(f"parameter '{param.name}' of {name} must start with '?'")
-    param_names = {p.name for p in params}
-    if len(param_names) != len(params):
+    variables = {p.name for p in params}
+    if len(variables) != len(params):
         raise PddlSyntaxError(f"duplicate parameter in action {name}")
-
-    declared = {p.name: p.arity for p in predicates}
 
     preconditions: set[Atom] = set()
     if ":precondition" in sections:
         for atom_form in _flatten_conjunction(sections[":precondition"], f"{name} precondition"):
-            preconditions.add(_parse_atom_over(atom_form, param_names, declared,
+            preconditions.add(_parse_atom_over(atom_form, variables, predicates,
                                                f"{name} precondition"))
 
     add_effects: set[Atom] = set()
@@ -463,19 +455,18 @@ def _parse_action(rest: list, predicates: list[Predicate]) -> ActionSchema:
             if head == "not":
                 if len(eff_form) != 2:
                     raise PddlSyntaxError(f"(not ...) takes one atom in action {name}")
-                del_effects.add(_parse_atom_over(eff_form[1], param_names, declared,
-                                                 f"{name} effect"))
+                atom_form, into, other = eff_form[1], del_effects, add_effects
             elif head in _REJECTED_HEADS or head == "and":
                 raise UnsupportedFeature(head, f"in effect of action {name}")
             else:
-                add_effects.add(_parse_atom_over(eff_form, param_names, declared,
-                                                 f"{name} effect"))
+                atom_form, into, other = eff_form, add_effects, del_effects
+            atom = _parse_atom_over(atom_form, variables, predicates, f"{name} effect")
+            if atom in other:
+                raise PddlSyntaxError(
+                    f"action {name} adds and deletes the same atom: {format_atom(atom)}"
+                )
+            into.add(atom)
 
-    overlap = add_effects & del_effects
-    if overlap:
-        raise PddlSyntaxError(
-            f"action {name} adds and deletes the same atom: {format_atom(next(iter(overlap)))}"
-        )
     return ActionSchema(name, params, frozenset(preconditions),
                         frozenset(add_effects), frozenset(del_effects))
 
@@ -487,24 +478,22 @@ def _parse_action(rest: list, predicates: list[Predicate]) -> ActionSchema:
 
 def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
     """Parse a ``(define (problem ...))`` form and validate it against *domain*."""
-    reader = _Reader(text)
-    body = _head(reader.read(), "define", "problem file")
-    reader.expect_done()
-    if not body:
-        raise PddlSyntaxError("empty define form in problem file")
-    name = _header_name(body[0], "problem")
-
+    name, sections = _define(text, "problem")
     domain_name: str | None = None
     objects: dict[str, str] = {}
     init: set[Atom] = set()
     goal: set[Atom] = set()
-    declared = {p.name: p.arity for p in domain.predicates}
+    predicates = {p.name: p for p in domain.predicates}
 
-    for section in body[1:]:
-        if not isinstance(section, list) or not section or not isinstance(section[0], _Token):
-            raise PddlSyntaxError("expected a (:keyword ...) problem section")
-        keyword = section[0].value.lower()
-        rest = section[1:]
+    def parse_atom(form, context: str) -> Atom:
+        atom = _parse_atom_over(form, objects, predicates, context)
+        for obj, param in zip(atom[1:], predicates[atom[0]].params):
+            if not domain.is_subtype(objects[obj], param.type):
+                raise TypeMismatch(f"object '{obj}' of type '{objects[obj]}' used as "
+                                   f"'{param.type}' in {format_atom(atom)}")
+        return atom
+
+    for keyword, rest in sections:
         if keyword == ":domain":
             domain_name = _symbol(rest[0], ":domain") if rest else None
         elif keyword == ":objects":
@@ -515,13 +504,12 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
                     raise PddlSyntaxError(f"object '{obj}' declared as both "
                                           f"'{objects[obj]}' and '{type_name}'")
         elif keyword == ":init":
-            for atom_form in rest:
-                init.add(_parse_atom_over(atom_form, set(objects), declared, ":init"))
+            init.update(parse_atom(atom_form, ":init") for atom_form in rest)
         elif keyword == ":goal":
             if len(rest) != 1:
                 raise PddlSyntaxError(":goal takes a single expression")
-            for atom_form in _flatten_conjunction(rest[0], ":goal"):
-                goal.add(_parse_atom_over(atom_form, set(objects), declared, ":goal"))
+            goal.update(parse_atom(atom_form, ":goal")
+                        for atom_form in _flatten_conjunction(rest[0], ":goal"))
         else:
             raise UnsupportedFeature(keyword, "problem section")
 
@@ -529,22 +517,8 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
         raise PddlSyntaxError(
             f"problem references domain '{domain_name}', expected '{domain.name}'"
         )
-    problem = ProblemModel(name, domain_name or domain.name, objects,
-                           frozenset(init), frozenset(goal))
-    _check_atom_types(problem, domain)
-    return problem
-
-
-def _check_atom_types(problem: ProblemModel, domain: DomainModel) -> None:
-    for atom in tuple(problem.init) + tuple(problem.goal):
-        pred = domain.predicate(atom[0])
-        assert pred is not None  # arity/name checked during parsing
-        for obj, param in zip(atom[1:], pred.params):
-            if not domain.is_subtype(problem.objects[obj], param.type):
-                raise TypeMismatch(
-                    f"object '{obj}' of type '{problem.objects[obj]}' used as "
-                    f"'{param.type}' in {format_atom(atom)}"
-                )
+    return ProblemModel(name, domain_name or domain.name, objects,
+                        frozenset(init), frozenset(goal))
 
 
 # ---------------------------------------------------------------------------

@@ -401,18 +401,12 @@ def aggregate(records: list[dict]) -> list[dict]:
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_csv(rows: list[dict], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
-            writer.writerow([_format_cell(row[column]) for column in REPORT_COLUMNS])
+            writer.writerow([row[column] for column in REPORT_COLUMNS])
 
 
 def write_jsonl(records: list[dict], path: str | Path) -> None:

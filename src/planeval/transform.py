@@ -198,8 +198,9 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
 
     Ranking: valid first, then penalized score, then fewer total changes,
     then the smaller shift, then the smaller mapping.  The identity
-    transformation is always in the candidate set, so the winner's penalized
-    score is never below the plan's own score.
+    transformation is always in the candidate set, so an invalid winner's
+    penalized score is never below the plan's own score.  A valid winner's
+    may be, since validity ranks first.
 
     A valid plan is its own pi1: the identity at shift 0 has penalty 0 and
     no change, and every other (mapping, shift) makes at least one change.

@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +36,8 @@ from planeval.planner import ground_all_actions
 from planeval.recovery import steps_to_validity
 from planeval.similarity import QualityLabel, non_positional_aqm
 
-from conftest import FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, make_bw_problem
+from conftest import (FIXTURES, INSTANCE_10_CANDIDATE, INSTANCE_10_GT, hash_seed_env,
+                      make_bw_problem)
 from oracles import (
     bfs_optimal_cost,
     brute_force_subsequence_length,
@@ -323,6 +326,23 @@ def test_criterion_4_batch_records_are_byte_identical(tmp_path, bw_domain, bw_pr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_4_JSONL_SHA256
         assert (tmp_path / f"batch-{jobs}.csv").read_bytes() == (
             tmp_path / "batch-1.csv").read_bytes()
+
+
+def test_criterion_4_records_do_not_depend_on_the_hash_seed(tmp_path, bw_domain, bw_problem,
+                                                            logistics_domain,
+                                                            logistics_problems):
+    """Batches with more than one job fork from this process and share its
+    hash seed, so the CLI runs the batch here in two fresh interpreters
+    whose ``PYTHONHASHSEED`` differs: no record may follow set order."""
+    manifest = _build_batch(tmp_path, bw_domain, logistics_domain,
+                            logistics_problems, bw_problem)
+    for seed in (0, 1):
+        out = tmp_path / f"seed-{seed}"
+        subprocess.run([sys.executable, "-m", "planeval.cli", "batch", str(manifest),
+                        "--out", str(out)],
+                       env=hash_seed_env(seed), capture_output=True, check=True)
+        digest = hashlib.sha256(out.with_suffix(".jsonl").read_bytes()).hexdigest()
+        assert digest == CRITERION_4_JSONL_SHA256, seed
 
 
 # ---------------------------------------------------------------------------

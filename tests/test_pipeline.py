@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import planeval
-from planeval import PipelineConfig, evaluate_batch, evaluate_instance, load_config, pipeline
+from planeval import (PipelineConfig, evaluate_batch, evaluate_instance, find_best_variant,
+                      load_config, pipeline, simulate)
 from planeval.cli import main as cli_main
 from planeval.config import _KEY_MAP
 from planeval.errors import (
@@ -20,6 +21,7 @@ from planeval.errors import (
     ManifestError,
     PlanEvalError,
     PlanningTimeout,
+    SearchBudgetExceeded,
     ZeroLengthGroundTruth,
 )
 from planeval.pddl import parse_domain, parse_problem, problem_to_pddl, resolve_action
@@ -121,6 +123,32 @@ def test_nan_planner_timeout_is_a_solve_gt_error(monkeypatch, bw_domain, bw_prob
                           config=PipelineConfig(planner_timeout=float("nan")))
     assert excinfo.value.stage == "solve-gt"
     assert isinstance(excinfo.value.cause, ConfigError)
+
+
+def test_budget_exit_record_carries_the_search_best(bw_domain, bw_problem, pi0_plan,
+                                                   gt_plan):
+    # The instance-10 candidate's search needs 54 nodes; a budget of 1 stops
+    # it, and the record's pi1 is the best variant it had visited.
+    find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain, PipelineConfig(budget=54))
+    config = PipelineConfig(budget=1)
+    with pytest.raises(SearchBudgetExceeded) as excinfo:
+        find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain, config)
+    best = excinfo.value.best
+    record = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                               gt_plan_text=INSTANCE_10_GT, config=config)
+    assert record["flags"]["transform_budget_exceeded"] is True
+    pi1 = record["pi1"]
+    assert pi1["shift"] == best.transformation.shift
+    assert pi1["mapping"] == {src: dst for src, dst in best.transformation.mapping
+                              if src != dst}
+    assert (pi1["raw_score"], pi1["transform_penalty"], pi1["penalized_score"]) == (
+        float(best.breakdown.total), float(best.penalty), float(best.penalized))
+    assert pi1["length"] == len(best.plan)
+    assert pi1["valid"] is simulate(best.plan, bw_problem).valid
+    unbounded = evaluate_instance(bw_domain, bw_problem, INSTANCE_10_CANDIDATE,
+                                  gt_plan_text=INSTANCE_10_GT)
+    assert unbounded["flags"]["transform_budget_exceeded"] is False
+    assert unbounded["pi1"] != pi1
 
 
 def test_each_plan_is_analysed_and_subplanned_once(monkeypatch, bw_domain, bw_problem):
@@ -531,7 +559,8 @@ def test_gt_cache_evicts_oldest(monkeypatch, bw_domain):
     monkeypatch.setattr(pipeline, "_CACHE_SIZE", 2)
     problems = [make_bw_problem(bw_domain, [["a", "b"]], [["b", "a"]], name=f"bw-{i}")
                 for i in range(3)]
-    for problem in problems:
+    # A, B, A, C: the hit on A does not refresh it, so A goes first.
+    for problem in (problems[0], problems[1], problems[0], problems[2]):
         evaluate_instance(bw_domain, problem, None)
     assert [key[1] for key in pipeline._GT_CACHE] == problems[1:]
 
@@ -744,8 +773,10 @@ def test_parse_cache_evicts_oldest(tmp_path, monkeypatch, bw_domain):
              for i in range(3)]
     for i, text in enumerate(texts):
         (tmp_path / f"bw-{i}.pddl").write_text(text)
+    # A, B, A, C: the hit on A does not refresh it, so A goes first.
     evaluate_batch(write_manifest(tmp_path, [
-        manifest_row(f"bw-{i}", BW_DOMAIN_PATH, f"bw-{i}.pddl") for i in range(3)]))
+        manifest_row(f"row-{row}", BW_DOMAIN_PATH, f"bw-{i}.pddl")
+        for row, i in enumerate((0, 1, 0, 2))]))
     assert [key[1] for key in pipeline._PARSE_CACHE] == texts[1:]
 
 
@@ -917,6 +948,19 @@ def test_config_with_byte_order_mark_loads_the_plain_values(tmp_path):
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")
     assert load_config(marked) == load_config(plain) != PipelineConfig()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("transform.budget 7", "config line 2: expected 'key = value'"),
+    ("transform.budget = x", "config line 2: bad value for 'transform.budget': "
+                             "invalid literal for int() with base 10: 'x'"),
+], ids=["no-equals", "unparsable-value"])
+def test_config_malformed_line_names_the_line(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"transform.c_map = 2\n{line}\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == message
 
 
 def test_config_unknown_key(tmp_path):
@@ -1110,6 +1154,19 @@ def test_cli_eval(tmp_path):
     record = json.loads(out_path.read_text())
     assert record["instance_id"] == "10"
     assert record["pi0"]["stv"] == 7
+
+
+def test_cli_eval_invalid_gt_file_exits_2(tmp_path, capsys):
+    plan_path = tmp_path / "candidate.plan"
+    plan_path.write_text(INSTANCE_10_CANDIDATE)
+    gt_path = tmp_path / "gt.plan"
+    gt_path.write_text("(pick-up a)\n")  # executable, misses the goal
+    code = cli_main(["eval", "--domain", str(BW_DOMAIN_PATH),
+                     "--problem", str(BW_PROBLEM_PATH), "--plan", str(plan_path),
+                     "--gt-plan", str(gt_path), "--out", str(tmp_path / "record.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: stage 'check-gt' failed")
+    assert not (tmp_path / "record.json").exists()
 
 
 def test_cli_batch_and_report(tmp_path, capsys):

@@ -198,6 +198,17 @@ def test_np_aqm_keeps_unrelated_hallucination_redundant(bw_domain, bw_problem, g
     assert np_aqm[-1] is QualityLabel.REDUNDANT
 
 
+def test_np_aqm_relabels_a_redundant_action_of_another_name_diff_act():
+    # put-down shares its argument with the ground truth's pick-up, so it has
+    # some similarity to it though its name appears nowhere in the ground truth.
+    gt = Plan((act("pick-up", "a"),))
+    candidate = Plan((act("pick-up", "a"), act("put-down", "a")))
+    labels = pair_actions(candidate, gt).labels
+    assert labels == (QualityLabel.CORRECT, QualityLabel.REDUNDANT)
+    assert non_positional_aqm(candidate, gt, labels) == (QualityLabel.CORRECT,
+                                                         QualityLabel.DIFF_ACT)
+
+
 def test_aqm_score_running_example(pi0_plan, gt_plan):
     assert aqm_score(pair_actions(pi0_plan, gt_plan).labels) == Fraction(13, 32)  # 0.40625
 

@@ -423,6 +423,8 @@ def _parse_action(rest: list, predicates: Mapping[str, Predicate]) -> ActionSche
         key = _symbol(rest[i], f"action {name}")
         if key not in (":parameters", ":precondition", ":effect"):
             raise UnsupportedFeature(key, f"in action {name}")
+        if key in sections:
+            raise PddlSyntaxError(f"duplicate {key} in action {name}")
         if i + 1 >= len(rest):
             raise PddlSyntaxError(f"missing value for {key} in action {name}")
         sections[key] = rest[i + 1]
@@ -484,6 +486,7 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
     init: set[Atom] = set()
     goal: set[Atom] = set()
     predicates = {p.name: p for p in domain.predicates}
+    once: set[str] = set()  # the :domain and :goal sections read
 
     def parse_atom(form, context: str) -> Atom:
         atom = _parse_atom_over(form, objects, predicates, context)
@@ -494,6 +497,10 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemModel:
         return atom
 
     for keyword, rest in sections:
+        if keyword in (":domain", ":goal"):
+            if keyword in once:
+                raise PddlSyntaxError(f"duplicate {keyword} section in problem {name}")
+            once.add(keyword)
         if keyword == ":domain":
             domain_name = _symbol(rest[0], ":domain") if rest else None
         elif keyword == ":objects":

@@ -91,8 +91,6 @@ class CharLcsSimilarity:
         a, b = a.lower(), b.lower()
         if a == b:
             return ONE
-        if not a or not b:
-            return ZERO
         ratio = Fraction(2 * char_lcs_len(a, b), len(a) + len(b))
         return ratio if ratio >= self.floor else ZERO
 

@@ -4,17 +4,18 @@ The variant search is exact: it ranks every (mapping, shift) combination of
 the plan's objects, whatever their number.  Mapping is applied first, then
 the shift.
 
-It scores few variants.  Variants are simulated instead: all have the
-plan's length, so all valid ones share one raw score and rank by penalty
-and tie-break alone, and any valid variant beats every invalid one.  An
-invalid variant is scored in full only when an upper bound on its score,
-which depends on the mapping alone, says it can still beat the best variant
-scored so far.  Mappings are built depth first, and one whose completions
-all lose is skipped unremapped.  The bound never rises as a mapping is
-extended, so the empty mapping's bound answers most of these tests without
-the bound of the mapping at hand.  The bounds are built once, when the
-first variant, the identity at shift 0, proves invalid; a valid plan's
-search ends at that variant and builds none.
+It keeps one incumbent, the best variant visited, and scores few
+variants.  Each is simulated once: all have the plan's length, so all valid
+ones share one raw score, taken from that length, and rank by penalty and
+tie-break alone, and any valid variant beats every invalid one.  An invalid
+variant is scored in full only when an upper bound on its score, which
+depends on the mapping alone, says it can still beat the incumbent.
+Mappings are built depth first, and one whose completions all lose is
+skipped unremapped.  The bound never rises as a mapping is extended, so the
+empty mapping's bound answers most of these tests without the bound of the
+mapping at hand.  The bounds are built once, when the first variant, the
+identity at shift 0, proves invalid; a valid plan's search ends at that
+variant and builds none.
 """
 
 from __future__ import annotations
@@ -177,10 +178,9 @@ def _no_valid_completion(plan: Plan, domain: DomainModel, problem: ProblemModel,
 # ---------------------------------------------------------------------------
 
 def score_variant(variant: Plan, transformation: Transformation, penalty: Fraction,
-                  gt: Plan, problem: ProblemModel, sim) -> VariantScore:
-    """Score one variant against *gt*, names compared by *sim*, and subtract
-    the *penalty* of its transformation."""
-    valid = is_valid(variant, problem)
+                  gt: Plan, valid: bool, sim) -> VariantScore:
+    """Score one variant, whose validity is *valid*, against *gt*, names
+    compared by *sim*, and subtract the *penalty* of its transformation."""
     # A valid variant's score reads neither its pairing nor its LCS analysis.
     breakdown = (plan_score(variant, gt, None, None, True) if valid else
                  plan_score(variant, gt, pair_actions(variant, gt, sim=sim),
@@ -209,24 +209,26 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     the dead-prefix test are built when that variant proves invalid.
 
     Mappings are built depth first, objects in order of first appearance,
-    each trying its own image first, so the identity comes first.  Valid
-    variants rank on (penalty, changes, shift, mapping) alone, and only the
-    valid winner is scored.  An invalid variant is scored only while no
-    valid one is known and its mapping's score ceiling minus its penalty can
-    still win.  A partial mapping is skipped with its completions, each
-    moving at least ``low`` objects, when (a) a valid variant is known and
-    ``(c_map * low, low)`` exceeds its (penalty, changes), or (b) no
-    completion can be valid and either a valid variant is known or the
-    ceiling minus ``c_map * low`` is below the best score.  Penalties and
-    floors are integers, ``c_shift`` and ``c_map`` scaled by the lcm of their
-    denominators; a penalty becomes a ``Fraction`` only in a variant's score.
+    each trying its own image first, so the identity comes first.  The
+    search keeps one incumbent, the best variant visited, with its key
+    (penalty, changes, shift, mapping), and simulates each variant once.
+    Valid variants rank on that key alone.  An invalid variant is scored
+    only while the incumbent is invalid and its mapping's score ceiling
+    minus its penalty can still win.  A partial mapping is skipped with its
+    completions, each moving at least ``low`` objects, when (a) the
+    incumbent is valid and ``(c_map * low, low)`` exceeds its (penalty,
+    changes), or (b) no completion can be valid and either the incumbent is
+    valid or the ceiling minus ``c_map * low`` is below its score.
+    Penalties and floors are integers, ``c_shift`` and ``c_map`` scaled by
+    the lcm of their denominators; a penalty becomes a ``Fraction`` only in
+    a variant's score.
 
     A node is a partial mapping tested for a skip or a variant visited.
-    Once a winner exists and ``config.budget`` nodes have been counted, the
-    search raises :class:`SearchBudgetExceeded` carrying the exact winner
-    among the variants visited; the identity at shift 0 always is.  Raises
-    :class:`ConfigError` when ``c_shift``, ``c_map`` or ``budget`` is
-    negative.
+    Once an incumbent exists and ``config.budget`` nodes have been counted,
+    the search raises :class:`SearchBudgetExceeded` carrying it, the exact
+    winner among the variants visited, the identity at shift 0 among them.
+    Raises :class:`ConfigError` when ``c_shift``, ``c_map`` or ``budget``
+    is negative.
 
     *resolved* is :func:`remap_params`' table for *domain* and *problem*;
     the search reads and fills it.
@@ -249,34 +251,21 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
     c_shift, c_map = int(c_shift * scale), int(c_map * scale)
     magnitudes = [min(shift, length - shift) for shift in shifts]
 
-    best: VariantScore | None = None  # best scored invalid variant
-    best_rank: tuple = ()  # (changes, shift, mapping) of best
-    # Built when the first variant, the identity at shift 0, becomes best:
+    best: VariantScore | None = None  # the incumbent
+    key: tuple = ()  # (penalty, changes, shift, mapping) of best
+    # Built when the first variant, the identity at shift 0, proves invalid:
     # the score ceiling, its bound for the empty mapping and the dead-prefix
     # test.  The ceiling never rises as a mapping is extended, so the empty
     # mapping's, root, bounds every node: a cost above root_limit loses.
     ceiling_of = dead = None
     root_limit = 0
-    valid: tuple | None = None  # ((penalty, changes, shift, mapping), plan)
     nodes = 0
-
-    def winner() -> VariantScore:
-        if valid is None:
-            return best
-        (penalty, _, shift, pairs), variant = valid
-        # Scored as score_variant scores a valid variant, without simulating
-        # it again.
-        breakdown = plan_score(variant, gt, None, None, True)
-        cost = Fraction(penalty, scale)
-        return VariantScore(Transformation(shift, pairs), variant, breakdown, cost,
-                            breakdown.total - cost)
 
     def count_node() -> None:
         nonlocal nodes
-        if nodes >= config.budget and (valid is not None or best is not None):
+        if nodes >= config.budget and best is not None:
             raise SearchBudgetExceeded(
-                f"variant search exceeded its budget of {config.budget} nodes",
-                best=winner())
+                f"variant search exceeded its budget of {config.budget} nodes", best=best)
         nodes += 1
 
     def skip(images: tuple[str, ...]) -> bool:
@@ -286,8 +275,8 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
         low = (sum(src != dst for src, dst in zip(objs, images))
                + len(set(images).intersection(objs[len(images):])))
         floor = c_map * low
-        if valid is not None:
-            return (floor, low) > valid[0][:2] or dead(images)
+        if best is not None and best.breakdown.valid:
+            return (floor, low) > key[:2] or dead(images)
         return (best is not None and dead(images)
                 and (floor > root_limit
                      or floor > (ceiling_of(images) - best.penalized) * scale))
@@ -304,33 +293,27 @@ def find_best_variant(plan: Plan, gt: Plan, problem: ProblemModel,
             count_node()
             penalty = c_shift * magnitudes[shift] + c_map * moved
             rank = (magnitudes[shift] + moved, shift, pairs)
-            if valid is not None and (penalty, *rank) >= valid[0]:
+            if best is not None and best.breakdown.valid and (penalty, *rank) >= key:
                 continue
-            if executable:
-                variant = circular_shift(mapped, shift)
-                if is_valid(variant, problem):
-                    valid = ((penalty, *rank), variant)
-                    if not rank[0]:  # no change: the identity at shift 0 wins
-                        return winner()
-                    continue
-            if valid is not None:
-                continue
-            if best is not None:
-                if penalty > root_limit:  # so also > limit
+            valid = executable and is_valid(circular_shift(mapped, shift), problem)
+            if not valid and best is not None:
+                if best.breakdown.valid or penalty > root_limit:  # so also > limit
                     continue
                 if limit is None:
-                    limit = ((ceiling_of(images) - best.penalized) * scale, *best_rank)
+                    limit = ((ceiling_of(images) - best.penalized) * scale, *key[1:])
                 if (penalty, *rank) > limit:
                     continue
             candidate = score_variant(circular_shift(mapped, shift),
                                       Transformation(shift, pairs),
-                                      Fraction(penalty, scale), gt, problem, sim)
+                                      Fraction(penalty, scale), gt, valid, sim)
+            if valid and not rank[0]:  # no change: the identity at shift 0 wins
+                return candidate
             if best is None:
                 ceiling_of = score_ceiling(plan, gt, objs, config.similarity)
                 root = ceiling_of(())
                 dead = _no_valid_completion(plan, domain, problem, objs)
-            if (best is None or candidate.penalized > best.penalized
-                    or (candidate.penalized == best.penalized and rank < best_rank)):
-                best, best_rank, limit = candidate, rank, None
+            if (valid or best is None or candidate.penalized > best.penalized
+                    or (candidate.penalized == best.penalized and rank < key[1:])):
+                best, key, limit = candidate, (penalty, *rank), None
                 root_limit = math.floor((root - best.penalized) * scale)
-    return winner()
+    return best

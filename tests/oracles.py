@@ -14,6 +14,7 @@ from fractions import Fraction
 from planeval.pddl import Atom, DomainModel, GroundAction, Plan, ProblemModel, State
 from planeval.planner import ground_all_actions
 from planeval.similarity import action_similarity
+from planeval.simulator import is_valid
 
 # ---------------------------------------------------------------------------
 # Blocksworld state-space enumeration
@@ -299,8 +300,9 @@ def rank_variants_oracle(plan: Plan, gt: Plan, problem: ProblemModel,
         if perm not in remapped:
             remapped[perm] = remap_params(plan, mapping, domain, problem)
         penalty = penalty_oracle(transformation, len(plan), config)
-        scored.append(score_variant(circular_shift(remapped[perm], shift), transformation,
-                                    penalty, gt, problem, sim))
+        variant = circular_shift(remapped[perm], shift)
+        scored.append(score_variant(variant, transformation, penalty, gt,
+                                    is_valid(variant, problem), sim))
 
     def sort_key(vs):
         return (

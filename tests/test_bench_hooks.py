@@ -53,6 +53,15 @@ def test_pool_builder_planner_hooks_exist():
         assert "timeout" in parameters
 
 
+def test_variant_scorer_signature_is_pinned():
+    # spans.py counts calls of transform.score_variant as
+    # transform.variants_scored, and tests/oracles.py calls it positionally.
+    from planeval import transform
+
+    assert list(inspect.signature(transform.score_variant).parameters) == [
+        "variant", "transformation", "penalty", "gt", "valid", "sim"]
+
+
 def test_bench_imports_resolve():
     imported = []
     for path in sorted(BENCH.glob("*.py")):

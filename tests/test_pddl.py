@@ -160,6 +160,16 @@ REJECTIONS = {
                        "missing action name in :action"),
     "action-key-unsupported": ("domain", _action_text(":vars (?x)"), UnsupportedFeature,
                                "unsupported PDDL construct ':vars': in action a"),
+    "action-key-repeated-parameters": ("domain", _action_text(":parameters (?x) :parameters (?y)"),
+                                       PddlSyntaxError, "duplicate :parameters in action a"),
+    "action-key-repeated-precondition": ("domain",
+                                         _action_text(":parameters (?x) :precondition (p ?x)"
+                                                      " :precondition (q ?x)"),
+                                         PddlSyntaxError, "duplicate :precondition in action a"),
+    "action-key-repeated-effect": ("domain",
+                                   _action_text(":parameters (?x) :precondition (p ?x)"
+                                                " :effect (q ?x) :effect (not (p ?x))"),
+                                   PddlSyntaxError, "duplicate :effect in action a"),
     "action-key-no-value": ("domain", _action_text(":parameters (?x) :effect"),
                             PddlSyntaxError, "missing value for :effect in action a"),
     "parameters-not-a-list": ("domain", _action_text(":parameters ?x"), PddlSyntaxError,
@@ -229,7 +239,12 @@ REJECTIONS = {
     "problem-section-unsupported": ("problem", _problem_text("(:metric minimize (total-time))"),
                                     UnsupportedFeature,
                                     "unsupported PDDL construct ':metric': problem section"),
-    "problem-domain-name": ("problem", _problem_text("(:domain blocksworld-4ops)"),
+    "problem-domain-repeated": ("problem", "(define (problem x) (:domain blocksworld-4ops)"
+                                            " (:domain logistics))",
+                                PddlSyntaxError, "duplicate :domain section in problem x"),
+    "problem-goal-repeated": ("problem", _problem_text("(:goal (at t1 l1)) (:goal (at t1 l1))"),
+                              PddlSyntaxError, "duplicate :goal section in problem x"),
+    "problem-domain-name": ("problem", "(define (problem x) (:domain blocksworld-4ops))",
                             PddlSyntaxError,
                             "problem references domain 'blocksworld-4ops', "
                             "expected 'logistics'"),

@@ -97,6 +97,34 @@ def test_unsolvable_goal(bw_domain, bw_problem):
         solve_optimal(impossible, bw_domain)
 
 
+ONE_WAY_DOMAIN = """(define (domain one-way) (:requirements :strips)
+  (:predicates (start) (at-a) (at-b) (done))
+  (:action go-a :parameters () :precondition (start) :effect (and (at-a) (not (start))))
+  (:action go-b :parameters () :precondition (start) :effect (and (at-b) (not (start))))
+  (:action finish :parameters () :precondition (at-b) :effect (done)))"""
+
+
+def _one_way_problem(init: str):
+    domain = parse_domain(ONE_WAY_DOMAIN)
+    problem = parse_problem(f"(define (problem p) (:domain one-way) (:init {init})"
+                            " (:goal (done)))", domain)
+    return problem, domain
+
+
+def test_goal_unreachable_from_the_start_is_unsolvable():
+    # From (at-a) no action applies, so no goal atom is ever reached.
+    problem, domain = _one_way_problem("(at-a)")
+    with pytest.raises(PlanningUnsolvable, match="^goal unreachable from the given state$"):
+        solve_optimal(problem, domain)
+
+
+def test_search_drops_a_popped_dead_end():
+    # go-a, first in action order, is popped before go-b at the same key and
+    # leads to a state from which the goal is unreachable.
+    problem, domain = _one_way_problem("(start)")
+    assert plan_to_text(solve_optimal(problem, domain)) == "(go-b)\n(finish)\n"
+
+
 def test_timeout_is_raised(bw_domain):
     blocks = [f"b{i}" for i in range(1, 8)]
     problem = make_bw_problem(bw_domain, [[b] for b in blocks], [blocks])
@@ -514,3 +542,14 @@ def test_external_planner_failure(tmp_path, bw_domain, bw_problem):
     script.write_text("import sys; sys.exit(3)\n")
     with pytest.raises(PlanningUnsolvable):
         solve_optimal(bw_problem, bw_domain, external_cmd=f"python3 {script}")
+
+
+def test_external_planner_that_overruns_the_timeout(bw_domain, bw_problem):
+    with pytest.raises(PlanningTimeout, match="^external planner exceeded 0.5 s$"):
+        solve_optimal(bw_problem, bw_domain, timeout=0.5,
+                      external_cmd='python3 -c "import time; time.sleep(30)"')
+
+
+def test_external_planner_that_writes_no_plan_file(bw_domain, bw_problem):
+    with pytest.raises(PlanningUnsolvable, match="^external planner produced no plan file$"):
+        solve_optimal(bw_problem, bw_domain, external_cmd="true")

@@ -16,7 +16,7 @@ from planeval import (
 )
 from planeval.errors import ZeroLengthGroundTruth
 from planeval.pddl import Plan
-from planeval.scoring import M_MAX, placeholder_similarity
+from planeval.scoring import M_MAX, ScoreBreakdown, placeholder_similarity
 from planeval.similarity import CharLcsSimilarity, SynonymTable, exact_name_similarity
 
 from oracles import placeholder_similarity_oracle
@@ -147,6 +147,13 @@ def test_normalize_empty_plan_uses_gt_length(gt_plan, bw_problem):
     assert breakdown.total == -12  # 0 base, penalty 2*36/6
     normalized = normalize_score(breakdown, Plan(), gt_plan)
     assert normalized == Fraction(-12) / (6 * M_MAX)
+
+
+def test_normalize_empty_plan_against_empty_gt_is_zero():
+    # plan_score rejects an empty ground truth, so no breakdown exists for
+    # this pair; normalize_score reads none.
+    breakdown = ScoreBreakdown(*[Fraction(0)] * 6, total=Fraction(5), valid=True)
+    assert normalize_score(breakdown, Plan(), Plan()) == 0
 
 
 def test_score_monotonicity_in_paired_actions(pi0_plan, gt_plan, bw_problem):

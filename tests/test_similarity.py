@@ -53,6 +53,13 @@ def test_char_lcs_provider_derived_values():
     assert 0 <= value < 1
 
 
+def test_char_lcs_provider_scores_one_empty_name_zero():
+    # Two empty names are equal; with one, the character LCS is empty.
+    assert CharLcsSimilarity()("", "") == 1
+    assert CharLcsSimilarity()("", "abc") == 0
+    assert CharLcsSimilarity(Fraction(0))("", "abc") == 0
+
+
 def test_provider_conformance():
     rng = random.Random(3)
     names = ["pick-up", "put-down", "stack", "unstack", "load-truck", "fly", "x"]
@@ -74,6 +81,12 @@ def test_synonym_table_load(tmp_path):
     assert table("lift", "pick-up") == Fraction(4, 5)
     assert table("place-on", "stack") == Fraction(9, 10)
     assert table("lift", "stack") == 0
+
+
+def test_synonym_table_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "synonyms.txt"
+    path.write_text("# name1 name2 score\n\npick-up lift 0.8\n   \n")
+    assert SynonymTable.load(path).table == {("lift", "pick-up"): Fraction(4, 5)}
 
 
 def test_synonym_table_with_byte_order_mark_scores_its_first_pair(tmp_path):

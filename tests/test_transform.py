@@ -234,6 +234,42 @@ def test_search_matches_oracle_under_every_provider_and_cost(
         assert best.plan.keys() == oracle.plan.keys()
 
 
+COSTS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_search_matches_oracle_on_drawn_plans(bw_domain, bw_problem, gt_plan, data):
+    # Plans over the criterion-8 alphabet, the hallucinated name lift and an
+    # action on z, which is not a problem object.
+    alphabet = [*gt_plan.actions,
+                *parse_plan("(lift c)\n(pick-up z)\n", bw_domain, bw_problem).actions]
+    plan = Plan(tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=5))))
+    config = PipelineConfig(c_shift=data.draw(st.sampled_from(COSTS)),
+                            c_map=data.draw(st.sampled_from(COSTS)))
+    best = find_best_variant(plan, gt_plan, bw_problem, bw_domain, config)
+    oracle = rank_variants_oracle(plan, gt_plan, bw_problem, bw_domain, config)
+    assert best.transformation == oracle.transformation
+    assert best.penalized == oracle.penalized
+    assert best.breakdown.valid == oracle.breakdown.valid
+    assert best.plan.keys() == oracle.plan.keys()
+
+
+def test_search_simulates_each_variant_once(monkeypatch, pi0_plan, gt_plan, bw_problem,
+                                            bw_domain):
+    simulated = []
+    original = transform.is_valid
+
+    def recording(plan, problem):
+        simulated.append(plan.keys())
+        return original(plan, problem)
+
+    monkeypatch.setattr(transform, "is_valid", recording)
+    find_best_variant(pi0_plan, gt_plan, bw_problem, bw_domain)
+    assert simulated
+    assert len(simulated) == len(set(simulated))
+
+
 def _skip_cases(bw_domain, bw_problem, gt_plan, logistics_domain, log_problem, rng):
     """(plan, gt, problem, domain) with at most 5 objects on which the search
     skips partial mappings: a hallucinated name or an undeclared object (no
@@ -490,7 +526,7 @@ def test_score_ceiling_bounds_every_invalid_variant(bw_domain, bw_problem, gt_pl
                 transformation = Transformation(shift, tuple(mapping.items()))
                 score = score_variant(variant, transformation,
                                       penalty_oracle(transformation, len(plan), config),
-                                      gt_plan, bw_problem, sim)
+                                      gt_plan, is_valid(variant, bw_problem), sim)
                 if not score.breakdown.valid:
                     assert bound - score.penalty >= score.penalized
                     checked += 1
